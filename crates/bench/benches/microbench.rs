@@ -93,6 +93,11 @@ fn bench_crc() {
             black_box(dlio::crc32c(black_box(&data)));
         });
     }
+    // The integrity tables' per-block checksum (`DlfsCosts::verify_block`).
+    let block = vec![0xA5u8; 512];
+    bench("content_sum/512B", 5_000_000, || {
+        black_box(simkit::rng::content_sum(black_box(&block)));
+    });
 }
 
 fn bench_shuffle_and_plan() {

@@ -73,6 +73,53 @@ impl std::fmt::Display for CodecKind {
     }
 }
 
+/// Why a stored frame could not be decoded. Every malformed stream maps
+/// to one of these (the decoder never indexes out of bounds); the read
+/// paths surface it as [`crate::DlfsError::Corrupt`] with cause
+/// [`crate::CorruptCause::Codec`]. `at` is the token's offset in the
+/// encoded frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodecError {
+    /// A back-reference with distance 0.
+    ZeroDistance { at: usize },
+    /// A back-reference reaching before the start of the frame.
+    DistanceTooFar {
+        at: usize,
+        dist: usize,
+        decoded: usize,
+    },
+    /// A literal run or a back-reference's distance field runs past the
+    /// end of the encoded frame.
+    TruncatedToken { at: usize },
+    /// A literal run or match would decode past the frame's raw length.
+    Overflow { at: usize, raw_len: usize },
+    /// The stream decoded to a length other than the frame's raw length.
+    Length { decoded: usize, raw_len: usize },
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::ZeroDistance { at } => write!(f, "zero match distance at token {at}"),
+            CodecError::DistanceTooFar { at, dist, decoded } => write!(
+                f,
+                "match distance {dist} at token {at} reaches before the frame ({decoded} B decoded)"
+            ),
+            CodecError::TruncatedToken { at } => {
+                write!(f, "token at {at} runs past the end of the encoded frame")
+            }
+            CodecError::Overflow { at, raw_len } => {
+                write!(f, "token at {at} decodes past the {raw_len} B frame")
+            }
+            CodecError::Length { decoded, raw_len } => {
+                write!(f, "frame decoded to {decoded} B, expected {raw_len} B")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
 /// A per-frame encoder/decoder. See the module docs for the invariants.
 pub trait Codec: Send + Sync {
     fn kind(&self) -> CodecKind;
@@ -80,8 +127,9 @@ pub trait Codec: Send + Sync {
     /// length means "stored verbatim".
     fn encode(&self, raw: &[u8]) -> Vec<u8>;
     /// Decode one frame back to exactly `raw_len` bytes. `enc.len() ==
-    /// raw_len` means the frame was stored verbatim.
-    fn decode(&self, enc: &[u8], raw_len: usize) -> Vec<u8>;
+    /// raw_len` means the frame was stored verbatim. A malformed frame is
+    /// a typed error, never a panic.
+    fn decode(&self, enc: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError>;
 }
 
 /// The no-op codec: stored bytes are the raw bytes.
@@ -96,9 +144,14 @@ impl Codec for IdentityCodec {
         raw.to_vec()
     }
 
-    fn decode(&self, enc: &[u8], raw_len: usize) -> Vec<u8> {
-        debug_assert_eq!(enc.len(), raw_len);
-        enc.to_vec()
+    fn decode(&self, enc: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        if enc.len() != raw_len {
+            return Err(CodecError::Length {
+                decoded: enc.len(),
+                raw_len,
+            });
+        }
+        Ok(enc.to_vec())
     }
 }
 
@@ -177,33 +230,64 @@ impl Codec for LzCodec {
         }
     }
 
-    fn decode(&self, enc: &[u8], raw_len: usize) -> Vec<u8> {
+    fn decode(&self, enc: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
         if enc.len() == raw_len {
-            return enc.to_vec();
+            return Ok(enc.to_vec());
         }
         let mut out = Vec::with_capacity(raw_len);
         let mut p = 0usize;
-        while p < enc.len() && out.len() < raw_len {
-            let control = enc[p];
+        while let Some(&control) = enc.get(p) {
+            let at = p;
             p += 1;
             if control < 0x80 {
                 let run = control as usize + 1;
-                out.extend_from_slice(&enc[p..p + run]);
-                p += run;
-            } else {
-                let mlen = (control & 0x7f) as usize + MIN_MATCH;
-                let dist = u16::from_le_bytes([enc[p], enc[p + 1]]) as usize;
-                p += 2;
-                let start = out.len() - dist;
-                // Overlapping copies are legal (dist < mlen repeats).
-                for k in 0..mlen {
-                    let b = out[start + k];
-                    out.push(b);
+                let lit = enc
+                    .get(p..p + run)
+                    .ok_or(CodecError::TruncatedToken { at })?;
+                if out.len() + run > raw_len {
+                    return Err(CodecError::Overflow { at, raw_len });
                 }
+                out.extend_from_slice(lit);
+                p += run;
+                continue;
+            }
+            let mlen = (control & 0x7f) as usize + MIN_MATCH;
+            let dist = match enc.get(p..p + 2) {
+                Some(&[lo, hi]) => u16::from_le_bytes([lo, hi]) as usize,
+                _ => return Err(CodecError::TruncatedToken { at }),
+            };
+            p += 2;
+            if dist == 0 {
+                return Err(CodecError::ZeroDistance { at });
+            }
+            if dist > out.len() {
+                return Err(CodecError::DistanceTooFar {
+                    at,
+                    dist,
+                    decoded: out.len(),
+                });
+            }
+            if out.len() + mlen > raw_len {
+                return Err(CodecError::Overflow { at, raw_len });
+            }
+            // Overlapping matches (dist < mlen) repeat the last `dist`
+            // bytes: copy them in runs of at most `dist`, each of which
+            // lies wholly inside the bytes decoded so far.
+            let mut left = mlen;
+            while left > 0 {
+                let run = left.min(dist);
+                let src = out.len() - dist;
+                out.extend_from_within(src..src + run);
+                left -= run;
             }
         }
-        debug_assert_eq!(out.len(), raw_len, "truncated LZ stream");
-        out
+        if out.len() != raw_len {
+            return Err(CodecError::Length {
+                decoded: out.len(),
+                raw_len,
+            });
+        }
+        Ok(out)
     }
 }
 
@@ -264,7 +348,126 @@ mod tests {
         let c = LzCodec;
         let enc = c.encode(raw);
         assert!(enc.len() <= raw.len(), "codec grew the frame");
-        assert_eq!(c.decode(&enc, raw.len()), raw);
+        assert_eq!(c.decode(&enc, raw.len()).as_deref(), Ok(raw));
+    }
+
+    /// Decode a hand-built token stream (`raw_len` must differ from the
+    /// stream length, which would mean "stored verbatim").
+    fn lz(enc: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        assert_ne!(enc.len(), raw_len);
+        LzCodec.decode(enc, raw_len)
+    }
+
+    #[test]
+    fn lz_decodes_overlapping_match() {
+        // "ab" then a 9-byte match at distance 2: three runs of <= 2 bytes
+        // each copied from bytes the same match produced.
+        assert_eq!(
+            lz(&[0x01, b'a', b'b', 0x85, 2, 0], 11).unwrap(),
+            b"abababababa"
+        );
+    }
+
+    #[test]
+    fn lz_rejects_zero_distance() {
+        assert_eq!(
+            lz(&[0x00, b'a', 0x80, 0, 0], 9),
+            Err(CodecError::ZeroDistance { at: 2 })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_distance_before_frame_start() {
+        assert_eq!(
+            lz(&[0x00, b'a', 0x80, 2, 0], 9),
+            Err(CodecError::DistanceTooFar {
+                at: 2,
+                dist: 2,
+                decoded: 1
+            })
+        );
+        // A match as the very first token has nothing to copy from.
+        assert_eq!(
+            lz(&[0x80, 1, 0], 4),
+            Err(CodecError::DistanceTooFar {
+                at: 0,
+                dist: 1,
+                decoded: 0
+            })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_literal_past_encoded_frame() {
+        assert_eq!(
+            lz(&[0x05, b'a', b'b'], 10),
+            Err(CodecError::TruncatedToken { at: 0 })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_match_with_truncated_distance() {
+        assert_eq!(
+            lz(&[0x00, b'a', 0x80, 1], 10),
+            Err(CodecError::TruncatedToken { at: 2 })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_literal_past_raw_length() {
+        assert_eq!(
+            lz(&[0x03, b'a', b'b', b'c', b'd'], 2),
+            Err(CodecError::Overflow { at: 0, raw_len: 2 })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_match_past_raw_length() {
+        assert_eq!(
+            lz(&[0x00, b'a', 0x80, 1, 0], 3),
+            Err(CodecError::Overflow { at: 2, raw_len: 3 })
+        );
+    }
+
+    #[test]
+    fn lz_rejects_short_stream() {
+        assert_eq!(
+            lz(&[0x00, b'a', 0x80, 1, 0], 8),
+            Err(CodecError::Length {
+                decoded: 5,
+                raw_len: 8
+            })
+        );
+        assert_eq!(
+            IdentityCodec.decode(b"abc", 4),
+            Err(CodecError::Length {
+                decoded: 3,
+                raw_len: 4
+            })
+        );
+    }
+
+    #[test]
+    fn lz_decode_of_damaged_frames_never_panics() {
+        // Flip bits and truncate real encoded frames: every outcome is a
+        // frame of the right length or a typed error.
+        let mut rng = SplitMix64::new(7);
+        for case in 0..64 {
+            let raw: Vec<u8> = (0..4096u32).map(|i| (i % (7 + case)) as u8).collect();
+            let enc = LzCodec.encode(&raw);
+            assert!(enc.len() < raw.len());
+            for _ in 0..16 {
+                let mut bad = enc.clone();
+                let at = rng.below(bad.len() as u64) as usize;
+                bad[at] ^= 1 << rng.below(8);
+                if rng.below(4) == 0 {
+                    bad.truncate(rng.below(bad.len() as u64) as usize);
+                }
+                if let Ok(out) = LzCodec.decode(&bad, raw.len()) {
+                    assert_eq!(out.len(), raw.len());
+                }
+            }
+        }
     }
 
     #[test]
@@ -295,7 +498,7 @@ mod tests {
         let data = b"hello world".to_vec();
         let enc = IdentityCodec.encode(&data);
         assert_eq!(enc, data);
-        assert_eq!(IdentityCodec.decode(&enc, data.len()), data);
+        assert_eq!(IdentityCodec.decode(&enc, data.len()), Ok(data));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! DLFS error type.
 
+use crate::codec::CodecError;
+
 /// Root cause of an exhausted I/O retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFailure {
@@ -31,6 +33,9 @@ pub enum CorruptCause {
     Checksum,
     /// The final attempt never returned good bytes at all.
     Io(IoFailure),
+    /// The bytes were read, but the stored frame is not a valid encoding
+    /// of its raw length.
+    Codec(CodecError),
 }
 
 impl std::fmt::Display for CorruptCause {
@@ -38,6 +43,7 @@ impl std::fmt::Display for CorruptCause {
         match self {
             CorruptCause::Checksum => write!(f, "block checksum mismatch"),
             CorruptCause::Io(e) => write!(f, "{e}"),
+            CorruptCause::Codec(e) => write!(f, "frame decode failed: {e}"),
         }
     }
 }
@@ -46,6 +52,7 @@ impl std::error::Error for CorruptCause {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CorruptCause::Io(e) => Some(e),
+            CorruptCause::Codec(e) => Some(e),
             CorruptCause::Checksum => None,
         }
     }
@@ -200,7 +207,9 @@ pub enum DlfsError {
     Directory(DirectoryError),
     /// Every replica of a data chunk was exhausted with at least one
     /// checksum mismatch along the way: the chunk is corrupt beyond what
-    /// failover and read-repair could recover (degraded mode).
+    /// failover and read-repair could recover (degraded mode). Also a
+    /// stored codec frame that does not decode (cause
+    /// [`CorruptCause::Codec`]).
     Corrupt {
         /// Byte offset of the corrupt chunk on its home node.
         chunk: u64,

@@ -11,11 +11,12 @@
 //!    [`crate::layout::Superblock::plan_redundant`]). Slot 0 is always the
 //!    node's own data, so `r = 0` routes to the home node unchanged.
 //! 2. **Are these bytes the bytes the import staged?** The per-block
-//!    FNV-1a table computed client-side during upload (and persisted in
-//!    the layout's integrity region) is checked against every block a
-//!    read path delivers — batched engine completions, prefetches, the
-//!    sync `read_entry` path and the zero-copy path all verify *before*
-//!    anything is published into the sample cache.
+//!    [`simkit::rng::content_sum`] table computed client-side during
+//!    upload (and persisted in the layout's integrity region) is checked
+//!    against every block a read path delivers — batched engine
+//!    completions, prefetches, the sync `read_entry` path and the
+//!    zero-copy path all verify *before* anything is published into the
+//!    sample cache.
 //! 3. **Which replica should serve the next attempt?** A shared
 //!    [`TargetHealth`] circuit breaker records per-target failures;
 //!    [`Redundancy::pick_replica`] rotates to the first replica whose
@@ -31,7 +32,6 @@ use std::sync::Arc;
 use crate::error::DlfsError;
 use blocksim::BLOCK_SIZE;
 use fabric::{Membership, MembershipPolicy, TargetHealth};
-use simkit::rng::fnv1a;
 use simkit::time::{Dur, Time};
 
 /// Consecutive failures before a target's circuit opens.
@@ -50,8 +50,8 @@ pub struct Redundancy {
     /// Ephemeral mounts use `(0, slot)`; persistent instances carry the
     /// superblock's geometry.
     pub slots: Vec<(u64, u64)>,
-    /// Per storage node: expected FNV-1a of each 512 B block of its own
-    /// (slot 0) data region, in block order. Empty when reads are not
+    /// Per storage node: expected `content_sum` of each 512 B block of its
+    /// own (slot 0) data region, in block order. Empty when reads are not
     /// verified.
     pub sums: Vec<Arc<Vec<u64>>>,
     /// Circuit breaker over the storage nodes, shared by every reader.
@@ -227,9 +227,7 @@ impl Redundancy {
         debug_assert!(slba >= home_base / BLOCK_SIZE, "read below data region");
         let start = (slba - home_base / BLOCK_SIZE) as usize;
         debug_assert_eq!(data.len() % BLOCK_SIZE as usize, 0);
-        data.chunks_exact(BLOCK_SIZE as usize)
-            .enumerate()
-            .all(|(i, blk)| sums.get(start + i).is_none_or(|&s| fnv1a(blk) == s))
+        crate::layout::blocks_match(sums, start, data)
     }
 
     /// Number of data blocks the integrity table covers on `home` (0 when
@@ -252,7 +250,7 @@ mod tests {
                 .map(|b| {
                     let mut blk = b.to_vec();
                     blk.resize(BLOCK_SIZE as usize, 0);
-                    fnv1a(&blk)
+                    simkit::rng::content_sum(&blk)
                 })
                 .collect(),
         )

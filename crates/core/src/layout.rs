@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use blocksim::{NvmeTarget, BLOCK_SIZE};
-use simkit::rng::fnv1a;
+use simkit::rng::{content_sum, fnv1a};
 
 use crate::codec::CodecKind;
 use crate::entry::MAX_OFFSET;
@@ -46,8 +46,13 @@ pub const SUPERBLOCK_MAGIC: u64 = 0x3159_414c_5346_4c44;
 /// Checkpoint record header magic ("DLFSCKP1").
 pub const CKPT_MAGIC: u64 = 0x3150_4b43_5346_4c44;
 
-/// On-device format version this build reads and writes.
-pub const LAYOUT_VERSION: u32 = 1;
+/// On-device format version this build reads and writes. Version 2
+/// switched every stored content checksum (per-block integrity table,
+/// per-sample payload checksums, checkpoint payloads) from FNV-1a to
+/// [`content_sum`]; a version-1 device is refused with
+/// [`LayoutError::Version`] rather than failing verification block by
+/// block.
+pub const LAYOUT_VERSION: u32 = 2;
 
 /// Serialized size of one sample metadata record: id (4) + unit1 (8) +
 /// unit2 (8) + payload checksum (8).
@@ -67,7 +72,7 @@ pub struct MetaRecord {
     pub unit1: u64,
     /// `SampleEntry` unit 2 with the volatile V bit masked off.
     pub unit2: u64,
-    /// FNV-1a of the sample payload as staged at import time.
+    /// [`content_sum`] of the sample payload as staged at import time.
     pub payload_checksum: u64,
 }
 
@@ -112,8 +117,9 @@ pub struct Superblock {
     pub replica_slot_bytes: u64,
     /// Start of the per-block integrity table (0 when absent).
     pub integrity_base: u64,
-    /// Serialized integrity table length: one FNV-1a word per 512 B block
-    /// of staged data (0 when the import was taken without `verify_reads`).
+    /// Serialized integrity table length: one [`content_sum`] word per
+    /// 512 B block of staged data (0 when the import was taken without
+    /// `verify_reads`).
     pub integrity_bytes: u64,
     /// Per-chunk codec the data region was staged with. Pre-codec imports
     /// carry a zeroed field and decode as [`CodecKind::Identity`].
@@ -173,8 +179,8 @@ impl Superblock {
     /// replication (the data region is split into `replicas` chunk-aligned
     /// slots; slot 0 is this node's own data, slot `r` mirrors the node
     /// `r` places counter-clockwise) and, with `integrity`, a table of one
-    /// FNV-1a word per 512 B data block between the metadata and data
-    /// regions. `replicas == 1, integrity == false` reproduces the exact
+    /// [`content_sum`] word per 512 B data block between the metadata and
+    /// data regions. `replicas == 1, integrity == false` reproduces the exact
     /// [`Superblock::plan`] geometry.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_redundant(
@@ -464,65 +470,61 @@ pub fn decode_meta(node: u16, bytes: &[u8]) -> Result<Vec<MetaRecord>, LayoutErr
         .collect())
 }
 
-/// Accumulates payload bytes in on-device order and produces one FNV-1a
-/// checksum per 512 B data block. The final partial block is hashed as if
-/// zero-padded to a full block, which matches what a read of that block
-/// returns from the zero-initialized device — so the table can be built
-/// client-side while streaming an import, with no read-back pass.
-#[derive(Clone, Debug)]
+/// Accumulates payload bytes in on-device order and produces one
+/// [`content_sum`] per 512 B data block. Whole blocks of a run are hashed
+/// in place; only a block split across `update` calls is buffered. The
+/// final partial block is hashed as if zero-padded to a full block, which
+/// matches what a read of that block returns from the zero-initialized
+/// device — so the table can be built client-side while streaming an
+/// import, with no read-back pass.
+#[derive(Clone, Debug, Default)]
 pub struct BlockChecksums {
     sums: Vec<u64>,
-    state: u64,
-    fill: u64,
+    /// Head of the next block (always shorter than a block).
+    partial: Vec<u8>,
 }
-
-impl Default for BlockChecksums {
-    fn default() -> Self {
-        BlockChecksums::new()
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 impl BlockChecksums {
     pub fn new() -> BlockChecksums {
-        BlockChecksums {
-            sums: Vec::new(),
-            state: FNV_OFFSET,
-            fill: 0,
-        }
+        BlockChecksums::default()
     }
 
     /// Feed the next run of payload bytes (must arrive in block order).
     pub fn update(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            let room = (BLOCK_SIZE - self.fill) as usize;
-            let take = room.min(bytes.len());
-            for &b in &bytes[..take] {
-                self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
-            self.fill += take as u64;
+        const BLOCK: usize = BLOCK_SIZE as usize;
+        if !self.partial.is_empty() {
+            let take = (BLOCK - self.partial.len()).min(bytes.len());
+            self.partial.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
-            if self.fill == BLOCK_SIZE {
-                self.sums.push(self.state);
-                self.state = FNV_OFFSET;
-                self.fill = 0;
+            if self.partial.len() < BLOCK {
+                return;
             }
+            self.sums.push(content_sum(&self.partial));
+            self.partial.clear();
         }
+        let blocks = bytes.chunks_exact(BLOCK);
+        self.partial.extend_from_slice(blocks.remainder());
+        self.sums.extend(blocks.map(content_sum));
     }
 
     /// Zero-pad and close the final partial block; returns one checksum
     /// per covered block.
     pub fn finish(mut self) -> Vec<u64> {
-        if self.fill > 0 {
-            for _ in self.fill..BLOCK_SIZE {
-                self.state = self.state.wrapping_mul(FNV_PRIME);
-            }
-            self.sums.push(self.state);
+        if !self.partial.is_empty() {
+            self.partial.resize(BLOCK_SIZE as usize, 0);
+            self.sums.push(content_sum(&self.partial));
         }
         self.sums
     }
+}
+
+/// Do the whole blocks of `data` match table entries `start..` of
+/// `sums`? Blocks past the end of the table (the unstaged tail of a
+/// chunk-rounded read) are vacuously good.
+pub(crate) fn blocks_match(sums: &[u64], start: usize, data: &[u8]) -> bool {
+    data.chunks_exact(BLOCK_SIZE as usize)
+        .zip(start..)
+        .all(|(blk, i)| sums.get(i).is_none_or(|&s| content_sum(blk) == s))
 }
 
 /// Serialize a per-block checksum table for the integrity region.
@@ -587,6 +589,7 @@ pub struct CkptHeader {
     /// 1-based position in the stream.
     pub seq: u64,
     pub payload_len: u64,
+    /// [`content_sum`] of the record payload.
     pub payload_checksum: u64,
 }
 
@@ -717,7 +720,7 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
         for r in &records {
             let e = crate::entry::SampleEntry::from_raw(r.unit1, r.unit2);
             let data = read_untimed(target, e.offset(), e.len() as usize);
-            if fnv1a(&data) != r.payload_checksum {
+            if content_sum(&data) != r.payload_checksum {
                 ok = false;
                 break;
             }
@@ -747,7 +750,7 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
             break;
         }
         let payload = read_untimed(target, pos + CKPT_HEADER_BYTES, h.payload_len as usize);
-        if fnv1a(&payload) != h.payload_checksum {
+        if content_sum(&payload) != h.payload_checksum {
             break;
         }
         seq = h.seq;
@@ -848,7 +851,7 @@ pub fn fsck_repair(
         let head = (off % BLOCK_SIZE) as usize;
         let nblocks = ((head + len) as u64).div_ceil(BLOCK_SIZE) as u32;
         let data = read_untimed(home, off, len);
-        let bad = fnv1a(&data) != r.payload_checksum || home.probe_extent(slba, nblocks);
+        let bad = content_sum(&data) != r.payload_checksum || home.probe_extent(slba, nblocks);
         if !bad {
             continue;
         }
@@ -866,16 +869,12 @@ pub fn fsck_repair(
                 src_off,
                 (nblocks as u64 * BLOCK_SIZE) as usize,
             );
-            if fnv1a(&buf[head..head + len]) != r.payload_checksum {
+            if content_sum(&buf[head..head + len]) != r.payload_checksum {
                 continue;
             }
             if let Some(sums) = &table {
                 let base = (slba - sb.data_base / BLOCK_SIZE) as usize;
-                let whole_ok = buf
-                    .chunks_exact(BLOCK_SIZE as usize)
-                    .enumerate()
-                    .all(|(i, blk)| sums.get(base + i).is_none_or(|&s| fnv1a(blk) == s));
-                if !whole_ok {
+                if !blocks_match(sums, base, &buf) {
                     continue;
                 }
             }
@@ -885,7 +884,7 @@ pub fn fsck_repair(
         }
         if fixed {
             let again = read_untimed(home, off, len);
-            if fnv1a(&again) == r.payload_checksum && !home.probe_extent(slba, nblocks) {
+            if content_sum(&again) == r.payload_checksum && !home.probe_extent(slba, nblocks) {
                 report.repaired += 1;
             } else {
                 report.unrepairable += 1;
@@ -990,7 +989,7 @@ mod tests {
                 id: i,
                 unit1: ((i as u64) << 48) | (0xabc + i as u64),
                 unit2: ((i as u64 * 4096) << 24) | (512 << 1) | 1, // V set
-                payload_checksum: fnv1a(&i.to_le_bytes()),
+                payload_checksum: content_sum(&i.to_le_bytes()),
             })
             .collect();
         let bytes = encode_meta(&recs);
@@ -1180,14 +1179,14 @@ mod tests {
         }
         let sums = bc.finish();
         assert_eq!(sums.len(), 3);
-        assert_eq!(sums[0], fnv1a(&bytes[..BLOCK_SIZE as usize]));
+        assert_eq!(sums[0], content_sum(&bytes[..BLOCK_SIZE as usize]));
         assert_eq!(
             sums[1],
-            fnv1a(&bytes[BLOCK_SIZE as usize..2 * BLOCK_SIZE as usize])
+            content_sum(&bytes[BLOCK_SIZE as usize..2 * BLOCK_SIZE as usize])
         );
         let mut padded = bytes[2 * BLOCK_SIZE as usize..].to_vec();
         padded.resize(BLOCK_SIZE as usize, 0);
-        assert_eq!(sums[2], fnv1a(&padded));
+        assert_eq!(sums[2], content_sum(&padded));
         let enc = encode_integrity(&sums);
         assert_eq!(decode_integrity(&enc), sums);
     }
@@ -1245,7 +1244,7 @@ mod tests {
                         id: i as u32,
                         unit1: ((n as u64) << 48) | i,
                         unit2: (off << 24) | (SLEN << 1),
-                        payload_checksum: fnv1a(
+                        payload_checksum: content_sum(
                             &data[(i * SLEN) as usize..((i + 1) * SLEN) as usize],
                         ),
                     }

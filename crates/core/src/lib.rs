@@ -73,7 +73,7 @@ pub mod writer;
 pub mod zerocopy;
 
 pub use cache::SampleCache;
-pub use codec::{Codec, CodecKind, CodecTables, NodeFrames};
+pub use codec::{Codec, CodecError, CodecKind, CodecTables, NodeFrames};
 pub use config::{BatchMode, CacheMode, DlfsConfig, DlfsCosts};
 pub use directory::{node_for_name, DirectoryBuilder, SampleDirectory};
 pub use entry::SampleEntry;

@@ -24,7 +24,7 @@ use blocksim::{NvmeTarget, BLOCK_SIZE};
 use fabric::Cluster;
 use simkit::chan::{Receiver, Sender};
 use simkit::resource::Link;
-use simkit::rng::fnv1a;
+use simkit::rng::{content_sum, fnv1a};
 use simkit::runtime::Runtime;
 use simkit::telemetry::{Counter, Registry};
 use simkit::time::Dur;
@@ -509,7 +509,7 @@ impl FrameStager {
                     id,
                     unit1,
                     unit2,
-                    payload_checksum: fnv1a(&stored[rel..rel + len as usize]),
+                    payload_checksum: content_sum(&stored[rel..rel + len as usize]),
                 }
             })
             .collect();
@@ -737,7 +737,7 @@ impl UploadTask {
                     id: item.id,
                     unit1: item.unit1,
                     unit2: item.unit2,
-                    payload_checksum: fnv1a(&item.bytes),
+                    payload_checksum: content_sum(&item.bytes),
                 });
             }
         }

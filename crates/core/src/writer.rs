@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use blocksim::{DmaBuf, IoQPair, NvmeTarget, QpairError, BLOCK_SIZE};
 use simkit::retry::RetryPolicy;
-use simkit::rng::fnv1a;
+use simkit::rng::content_sum;
 use simkit::runtime::Runtime;
 use simkit::telemetry::{Counter, Registry};
 use simkit::time::{Dur, Time};
@@ -512,7 +512,7 @@ impl CheckpointWriter {
             generation: self.sb.generation,
             seq,
             payload_len: payload.len() as u64,
-            payload_checksum: fnv1a(payload),
+            payload_checksum: content_sum(payload),
         };
         self.w.write(rt, self.append_at, &hdr.encode())?;
         self.w.flush(rt)?;
@@ -564,7 +564,7 @@ fn scan_stream(
             h.payload_len as usize,
             cfg,
         )?;
-        if fnv1a(&payload) != h.payload_checksum {
+        if content_sum(&payload) != h.payload_checksum {
             break;
         }
         if let Some(f) = collect.as_mut() {
@@ -638,7 +638,7 @@ impl CheckpointReader {
             h.payload_len as usize,
             &self.cfg,
         )?;
-        if fnv1a(&payload) != h.payload_checksum {
+        if content_sum(&payload) != h.payload_checksum {
             return Ok(None);
         }
         self.pos += span;

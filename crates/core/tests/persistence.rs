@@ -683,3 +683,57 @@ fn remount_integrity_config_mismatches_are_typed() {
         drain_all_readers(rt, &warm, &source, 7);
     });
 }
+
+/// Layout version 2 changed every stored content checksum, so a version-1
+/// image must be refused with the typed version error — by warm remount
+/// and by fsck — instead of mounting and then failing verification on
+/// every block. The image is stamped v1 by rewriting the version word and
+/// re-sealing the superblock checksum, so the version is the only defect.
+#[test]
+fn layout_v1_image_is_refused_with_a_typed_version_error() {
+    Runtime::simulate(97, |rt| {
+        let dev = ramdisk(16 << 20);
+        let source = SyntheticSource::fixed(21, 300, 1500);
+        let cfg = || DlfsConfig {
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        drop(
+            dlfs::MountBuilder::new(cfg())
+                .local(dev.clone())
+                .persistent()
+                .mount(rt, &source)
+                .unwrap(),
+        );
+        // Superblock words: version (u32) at byte 8, FNV-1a seal over
+        // bytes 0..160 stored at byte 160.
+        let mut sb = vec![0u8; 512];
+        dev.dma_read(0, &mut sb);
+        assert_eq!(sb[8..12], dlfs::layout::LAYOUT_VERSION.to_le_bytes());
+        assert_eq!(dlfs::layout::LAYOUT_VERSION, 2);
+        sb[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let seal = simkit::rng::fnv1a(&sb[..160]);
+        sb[160..168].copy_from_slice(&seal.to_le_bytes());
+        dev.dma_write(0, &sb);
+
+        match dlfs::MountBuilder::new(cfg())
+            .local(dev.clone())
+            .warm()
+            .remount(rt)
+        {
+            Err(DlfsError::Layout(LayoutError::Version { node: 0, found: 1 })) => {}
+            other => panic!("remount of a v1 image must fail typed, got {other:?}"),
+        }
+        let target: Arc<dyn NvmeTarget> = dev;
+        let report = fsck_node(&target, 0, true);
+        assert!(
+            matches!(
+                report.state,
+                FsckState::Unformatted(LayoutError::Version { node: 0, found: 1 })
+            ),
+            "fsck saw {:?}",
+            report.state
+        );
+        assert_eq!(report.data_checksum_ok, None);
+    });
+}

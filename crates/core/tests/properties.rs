@@ -1,13 +1,14 @@
 //! Randomized property tests for DLFS core data structures: the AVL
 //! directory, packed entries, the batching planner's coverage invariants,
-//! and the sample cache's pin/retire/evict lifecycle. Cases come from
+//! the sample cache's pin/retire/evict lifecycle and the streaming block
+//! checksum table. Cases come from
 //! seeded [`SplitMix64`] streams so failures replay exactly.
 
 use dlfs::avl::AvlTree;
 use dlfs::cache::RangeKey;
 use dlfs::plan::{build_epoch_plan, windowed_delivery, FetchItem};
-use dlfs::{BatchMode, CacheMode, DirectoryBuilder, SampleCache, SampleEntry};
-use simkit::rng::SplitMix64;
+use dlfs::{BatchMode, BlockChecksums, CacheMode, DirectoryBuilder, SampleCache, SampleEntry};
+use simkit::rng::{content_sum, SplitMix64};
 
 const CASES: u64 = 64;
 
@@ -394,5 +395,37 @@ fn windowed_delivery_respects_item_order_and_window() {
             }
         }
         assert!(max_open <= window, "open {} > window {}", max_open, window);
+    }
+}
+
+#[test]
+fn block_checksums_are_independent_of_update_splits() {
+    // For every stream length around one block, feeding the bytes in
+    // random runs (empty runs included) gives the same table as summing
+    // each zero-padded 512 B block in one shot.
+    for len in 0..=520usize {
+        let mut g = SplitMix64::derive(0xB10C, len as u64);
+        let mut bytes = vec![0u8; len];
+        g.fill_bytes(&mut bytes);
+        let want: Vec<u64> = bytes
+            .chunks(512)
+            .map(|b| {
+                let mut blk = b.to_vec();
+                blk.resize(512, 0);
+                content_sum(&blk)
+            })
+            .collect();
+        for _ in 0..4 {
+            let mut bc = BlockChecksums::new();
+            let mut at = 0;
+            while at < len {
+                let cap = [8, 64, 600][g.below(3) as usize];
+                let run = (g.below(cap) as usize).min(len - at);
+                bc.update(&bytes[at..at + run]);
+                at += run;
+            }
+            bc.update(&[]);
+            assert_eq!(bc.finish(), want, "len {len}");
+        }
     }
 }

@@ -63,7 +63,7 @@ pub mod runtime;
 pub use chan::{Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use resource::{Link, Semaphore, Servers};
 pub use retry::RetryPolicy;
-pub use rng::{fill_deterministic, fnv1a, SplitMix64};
+pub use rng::{content_sum, fill_deterministic, fnv1a, SplitMix64};
 pub use runtime::{JoinHandle, Runtime};
 pub use stats::{fmt_bytes, fmt_bytes_rate, fmt_rate, Histogram, Meter, Summary};
 pub use sync::{Barrier, Gate, WaitGroup};

@@ -1,9 +1,9 @@
 //! Randomized property tests for simkit: timeline resources, RNG,
-//! statistics. Cases are generated from seeded [`SplitMix64`] streams so
+//! statistics, the content checksum. Cases are generated from seeded [`SplitMix64`] streams so
 //! failures replay exactly.
 
 use simkit::prelude::*;
-use simkit::rng::SplitMix64;
+use simkit::rng::{content_sum, SplitMix64};
 use simkit::time::Time;
 
 const CASES: u64 = 64;
@@ -133,5 +133,100 @@ fn virtual_sleep_sums_exactly() {
             }
         });
         assert_eq!(end.nanos(), total);
+    }
+}
+
+/// A random 512 B block (the device block the integrity tables cover).
+fn random_block(g: &mut SplitMix64) -> Vec<u8> {
+    let mut b = vec![0u8; 512];
+    g.fill_bytes(&mut b);
+    b
+}
+
+#[test]
+fn content_sum_detects_every_single_bit_flip() {
+    for case in 0..8 {
+        let mut g = SplitMix64::derive(0xC5B1, case);
+        let mut blk = random_block(&mut g);
+        let sum = content_sum(&blk);
+        for bit in 0..blk.len() * 8 {
+            blk[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                content_sum(&blk),
+                sum,
+                "case {case}: flip of bit {bit} undetected"
+            );
+            blk[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(content_sum(&blk), sum);
+    }
+}
+
+#[test]
+fn content_sum_detects_every_single_byte_change() {
+    for case in 0..4 {
+        let mut g = SplitMix64::derive(0xC5B2, case);
+        let mut blk = random_block(&mut g);
+        let sum = content_sum(&blk);
+        for at in 0..blk.len() {
+            let orig = blk[at];
+            for v in (0..=255u8).filter(|&v| v != orig) {
+                blk[at] = v;
+                assert_ne!(
+                    content_sum(&blk),
+                    sum,
+                    "case {case}: byte {at} := {v} undetected"
+                );
+            }
+            blk[at] = orig;
+        }
+    }
+}
+
+#[test]
+fn content_sum_detects_every_word_swap() {
+    for case in 0..CASES {
+        let mut g = SplitMix64::derive(0xC5B3, case);
+        let mut blk = random_block(&mut g);
+        if case % 2 == 1 {
+            // Low-entropy blocks too: only a few distinct words.
+            for w in blk.chunks_exact_mut(8) {
+                let v = g.below(4);
+                w.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        let sum = content_sum(&blk);
+        let words = blk.len() / 8;
+        for i in 0..words {
+            for j in i + 1..words {
+                let (a, b) = (i * 8, j * 8);
+                if blk[a..a + 8] == blk[b..b + 8] {
+                    continue;
+                }
+                let mut swapped = blk.clone();
+                swapped[a..a + 8].copy_from_slice(&blk[b..b + 8]);
+                swapped[b..b + 8].copy_from_slice(&blk[a..a + 8]);
+                assert_ne!(
+                    content_sum(&swapped),
+                    sum,
+                    "case {case}: swap of words {i}, {j}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn content_sum_separates_lengths_and_zero_tails() {
+    // Zero padding of the tail word must not alias inputs that differ
+    // only in trailing zeros; the folded length tells them apart.
+    let zeros = [0u8; 100];
+    let sums: Vec<u64> = (0..=zeros.len())
+        .map(|n| content_sum(&zeros[..n]))
+        .collect();
+    for (i, a) in sums.iter().enumerate() {
+        for b in &sums[i + 1..] {
+            assert_ne!(a, b);
+        }
     }
 }
