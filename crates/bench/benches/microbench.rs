@@ -10,7 +10,7 @@ use std::time::Instant;
 use dlfs::avl::AvlTree;
 use dlfs::SampleEntry;
 use kernsim::lru::LruMap;
-use simkit::rng::SplitMix64;
+use simkit::{Dur, Link, Servers, SplitMix64, Time};
 
 /// Time `f` and report ns/iteration. Runs a 10% warmup first.
 fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
@@ -22,7 +22,7 @@ fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
         f();
     }
     let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<32} {ns:>12.1} ns/iter");
+    println!("{name:<38} {ns:>12.1} ns/iter");
 }
 
 fn bench_avl() {
@@ -156,6 +156,30 @@ fn bench_matmul() {
     });
 }
 
+/// A present-time reservation against 100k live bookings (all inside the
+/// prune horizon): the cost must not grow with the booking history.
+fn bench_resource() {
+    const BOOKED: u64 = 100_000;
+    let link = Link::new(1e9, Dur::ZERO);
+    for i in 0..BOOKED {
+        link.reserve(Time(i * 10), 10);
+    }
+    let mut now = BOOKED * 10;
+    bench("resource/link_reserve_100k_booked", 200_000, || {
+        now += 10;
+        black_box(link.reserve(Time(now), 10));
+    });
+    let srv = Servers::new(4);
+    for i in 0..BOOKED {
+        srv.reserve(Time(i * 10), Dur::nanos(40));
+    }
+    let mut now = BOOKED * 10;
+    bench("resource/servers_reserve_100k_booked", 200_000, || {
+        now += 10;
+        black_box(srv.reserve(Time(now), Dur::nanos(40)));
+    });
+}
+
 fn main() {
     bench_avl();
     bench_entry();
@@ -164,4 +188,5 @@ fn main() {
     bench_shuffle_and_plan();
     bench_storage();
     bench_matmul();
+    bench_resource();
 }

@@ -32,7 +32,11 @@
 //! - `multitenant_fair_share_err` — max absolute deviation of a
 //!   1:2:4-weighted tenant mix from its weight shares under WFQ slot
 //!   contention (lower is better); the gate asserts inline that it stays
-//!   within the 5% fairness budget.
+//!   within the 5% fairness budget;
+//! - `sched_switches_per_sample` — scheduler switches (cross-thread
+//!   handoffs between simulated participants, `Runtime::switches`) per
+//!   sample of the unverified batched epoch (lower is better: handoffs
+//!   are the simulator's main host cost).
 //!
 //! Usage:
 //!   perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
@@ -64,9 +68,12 @@ struct Metrics {
     offload_epoch_throughput_sps: f64,
     sharded_lookup_p99_ns: u64,
     multitenant_fair_share_err: f64,
+    sched_switches_per_sample: f64,
 }
 
-fn epoch_throughput_and_wakeups(seed: u64, verify: bool) -> (f64, u64) {
+/// One batched epoch: (samples per virtual second, reactor wakeups,
+/// scheduler switches per sample).
+fn batched_epoch(seed: u64, verify: bool) -> (f64, u64, f64) {
     Runtime::simulate(seed, |rt| {
         let source = SyntheticSource::fixed(seed, 4000, 2048);
         let cfg = DlfsConfig {
@@ -81,13 +88,15 @@ fn epoch_throughput_and_wakeups(seed: u64, verify: bool) -> (f64, u64) {
         let mut io = fs.io(0);
         let total = io.sequence(rt, 7, 0);
         let t0 = rt.now();
+        let switches0 = rt.switches();
         let mut got = 0usize;
         while got < total {
             got += io.submit(rt, &ReadRequest::batch(48)).unwrap().len();
         }
         let secs = (rt.now() - t0).as_secs_f64();
+        let switches = (rt.switches() - switches0) as f64 / got as f64;
         let wakeups = io.metrics().counter("dlfs.reactor.wakeups");
-        (got as f64 / secs, wakeups)
+        (got as f64 / secs, wakeups, switches)
     })
     .0
 }
@@ -299,7 +308,8 @@ fn render_json(rev: &str, m: &Metrics) -> String {
          \"degraded_p99_read_latency_ns\": {},\n  \"rebuild_time_ns\": {},\n  \
          \"offload_epoch_throughput_sps\": {:.3},\n  \
          \"sharded_lookup_p99_ns\": {},\n  \
-         \"multitenant_fair_share_err\": {:.6}\n}}\n",
+         \"multitenant_fair_share_err\": {:.6},\n  \
+         \"sched_switches_per_sample\": {:.6}\n}}\n",
         rev,
         m.epoch_throughput_sps,
         m.verified_epoch_throughput_sps,
@@ -310,7 +320,8 @@ fn render_json(rev: &str, m: &Metrics) -> String {
         m.rebuild_time_ns,
         m.offload_epoch_throughput_sps,
         m.sharded_lookup_p99_ns,
-        m.multitenant_fair_share_err
+        m.multitenant_fair_share_err,
+        m.sched_switches_per_sample
     )
 }
 
@@ -332,9 +343,9 @@ fn main() {
     let baseline: String = arg("baseline", String::new());
     let tolerance: f64 = arg("tolerance", 0.10);
 
-    let (epoch_throughput_sps, reactor_wakeups_per_epoch) =
-        epoch_throughput_and_wakeups(seed, false);
-    let (verified_epoch_throughput_sps, _) = epoch_throughput_and_wakeups(seed, true);
+    let (epoch_throughput_sps, reactor_wakeups_per_epoch, sched_switches_per_sample) =
+        batched_epoch(seed, false);
+    let (verified_epoch_throughput_sps, _, _) = batched_epoch(seed, true);
     // The verification tax is bounded by construction (one FNV-1a pass per
     // delivered block, `costs.verify_block` each): gate it inline so a
     // hot-path regression in the verify plumbing cannot hide behind a
@@ -374,6 +385,7 @@ fn main() {
         offload_epoch_throughput_sps: offload_epoch_throughput(seed),
         sharded_lookup_p99_ns,
         multitenant_fair_share_err: fair.err,
+        sched_switches_per_sample,
     };
 
     let json = render_json(&rev, &m);
@@ -388,7 +400,7 @@ fn main() {
     let base = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("read baseline {baseline}: {e}"));
     // (key, current value, higher-is-better)
-    let checks: [(&str, f64, bool); 10] = [
+    let checks: [(&str, f64, bool); 11] = [
         ("epoch_throughput_sps", m.epoch_throughput_sps, true),
         (
             "verified_epoch_throughput_sps",
@@ -421,6 +433,11 @@ fn main() {
         (
             "multitenant_fair_share_err",
             m.multitenant_fair_share_err,
+            false,
+        ),
+        (
+            "sched_switches_per_sample",
+            m.sched_switches_per_sample,
             false,
         ),
     ];

@@ -16,18 +16,6 @@ use simkit::plock::Mutex;
 /// Simulated huge-page size (2 MiB).
 pub const HUGE_PAGE: u64 = 2 << 20;
 
-/// Process-wide count of CPU memcpys through DMA buffers
-/// ([`DmaBuf::copy_to`] / [`DmaBuf::copy_from`]). Device-side DMA
-/// (`with`/`with_mut`) is *not* counted — that transfer is done by the
-/// device engine, not the host CPU. Zero-copy tests snapshot this before
-/// and after a read to prove the steady-state path never touches memcpy.
-static COPY_OPS: AtomicU64 = AtomicU64::new(0);
-
-/// Total `copy_to`/`copy_from` operations since process start.
-pub fn copy_ops() -> u64 {
-    COPY_OPS.load(Ordering::Relaxed)
-}
-
 /// A DMA-registered buffer: a fixed-size chunk from a [`DmaPool`].
 ///
 /// Cheap to clone (shared interior). Interior mutability is required because
@@ -59,19 +47,25 @@ impl DmaBuf {
     }
 
     /// Copy bytes out of the buffer (a host-CPU memcpy; counted in
-    /// [`copy_ops`]).
+    /// [`DmaPool::copy_ops`]).
     pub fn copy_to(&self, offset: usize, dst: &mut [u8]) {
-        COPY_OPS.fetch_add(1, Ordering::Relaxed);
+        self.count_copy();
         let g = self.data.lock();
         dst.copy_from_slice(&g[offset..offset + dst.len()]);
     }
 
     /// Copy bytes into the buffer (a host-CPU memcpy; counted in
-    /// [`copy_ops`]).
+    /// [`DmaPool::copy_ops`]).
     pub fn copy_from(&self, offset: usize, src: &[u8]) {
-        COPY_OPS.fetch_add(1, Ordering::Relaxed);
+        self.count_copy();
         let mut g = self.data.lock();
         g[offset..offset + src.len()].copy_from_slice(src);
+    }
+
+    fn count_copy(&self) {
+        if let Some(pool) = &self.pool {
+            pool.copies.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Run `f` with a read view of the buffer contents.
@@ -96,6 +90,8 @@ struct PoolInner {
     free: Mutex<Vec<usize>>,
     total: usize,
     hugepages: u64,
+    /// CPU memcpys through this pool's buffers (see [`DmaPool::copy_ops`]).
+    copies: AtomicU64,
 }
 
 /// One chunk's backing buffer.
@@ -119,6 +115,7 @@ impl DmaPool {
             free: Mutex::new((0..chunks).rev().collect()),
             total: chunks,
             hugepages,
+            copies: AtomicU64::new(0),
         });
         let buffers = (0..chunks)
             .map(|_| Arc::new(Mutex::new(vec![0u8; chunk_size].into_boxed_slice())))
@@ -171,6 +168,17 @@ impl DmaPool {
     pub fn hugepages(&self) -> u64 {
         self.inner.hugepages
     }
+
+    /// CPU memcpys through this pool's buffers ([`DmaBuf::copy_to`] /
+    /// [`DmaBuf::copy_from`]) since the pool was made. Device-side DMA
+    /// (`with`/`with_mut`) is *not* counted — that transfer is done by
+    /// the device engine, not the host CPU — and neither are standalone
+    /// buffers. Scoped to the pool, so simulations running side by side
+    /// never see each other's copies; zero-copy tests snapshot it before
+    /// and after a read to prove the steady-state path never memcpys.
+    pub fn copy_ops(&self) -> u64 {
+        self.inner.copies.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -208,6 +216,7 @@ mod tests {
         let mut out = [0u8; 5];
         buf.copy_to(10, &mut out);
         assert_eq!(&out, b"hello");
+        assert_eq!(pool.copy_ops(), 2);
         buf.with(|d| assert_eq!(&d[10..15], b"hello"));
         buf.with_mut(|d| d[10] = b'H');
         buf.with(|d| assert_eq!(&d[10..15], b"Hello"));

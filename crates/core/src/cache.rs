@@ -185,6 +185,11 @@ impl SampleCache {
         self.mode
     }
 
+    /// CPU memcpys through the cache's DMA chunks ([`DmaPool::copy_ops`]).
+    pub fn copy_ops(&self) -> u64 {
+        self.pool.copy_ops()
+    }
+
     /// Record cache telemetry into `reg` (pass a registry scoped to
     /// `dlfs.cache`): an `evictions` counter and a `resident_chunks`
     /// gauge. Attaching twice with the same registry is idempotent

@@ -335,7 +335,7 @@ fn my_allocs() -> u64 {
 }
 
 /// The steady-state warm read path is zero-copy end to end: once a chunk
-/// is resident, `read_zero_copy` performs no memcpy (`blocksim::copy_ops`
+/// is resident, `read_zero_copy` performs no memcpy (the cache's `copy_ops`
 /// is flat) and no heap allocation on the reading thread — the segment
 /// list stays inline and the cache pin is embedded in the sample.
 #[test]
@@ -371,14 +371,14 @@ fn warm_zero_copy_reads_are_copy_and_alloc_free() {
 
         // Measured laps: flat memcpy counter, zero allocations.
         let hits0 = io.metrics().counter("dlfs.io.cache.hits");
-        let copies0 = blocksim::copy_ops();
+        let copies0 = io.shared().cache.copy_ops();
         let allocs0 = my_allocs();
         let mut sum = 0u64;
         for &id in &ids {
             let s = io.read_zero_copy(rt, id).unwrap();
             sum = sum.wrapping_add(s.fnv1a());
         }
-        let copied = blocksim::copy_ops() - copies0;
+        let copied = io.shared().cache.copy_ops() - copies0;
         let allocated = my_allocs() - allocs0;
         let hits = io.metrics().counter("dlfs.io.cache.hits") - hits0;
         assert_eq!(hits, ids.len() as u64, "every measured read must be warm");

@@ -23,6 +23,7 @@ use crate::time::{Dur, Time};
 /// How far behind the latest observed request time an interval must be
 /// before it can be pruned. Virtual time only moves forward and staged
 /// reservations only look forward, so anything this stale is unreachable.
+/// [`Timeline::observe`] checks that promise in debug builds.
 const PRUNE_HORIZON_NS: u64 = 500_000_000; // 0.5 s of virtual time
 
 /// An ordered set of non-overlapping busy intervals with gap-filling
@@ -32,13 +33,42 @@ struct Timeline {
     /// start → end (non-overlapping, sorted by start).
     intervals: BTreeMap<u64, u64>,
     max_now: u64,
+    /// Intervals `probe` has visited (the complexity regression test).
+    #[cfg(test)]
+    visited: std::cell::Cell<usize>,
 }
 
 impl Timeline {
+    /// Record a request arriving at `now` and prune what it makes
+    /// unreachable. Every reservation passes through here first.
+    fn observe(&mut self, now: u64) {
+        // A request older than the prune horizon could land on a pruned
+        // interval and double-book it without any overlap being visible.
+        debug_assert!(
+            now >= self.max_now.saturating_sub(PRUNE_HORIZON_NS),
+            "request at {now} ns is behind the prune horizon (latest {} ns)",
+            self.max_now
+        );
+        self.max_now = self.max_now.max(now);
+        self.prune();
+    }
+
     /// Earliest start ≥ `now` where a `d`-long reservation fits.
+    ///
+    /// O(log n + k) for k intervals overlapping the answer: intervals are
+    /// disjoint and sorted by start, so every one before the last that
+    /// starts at or before `now` also ends at or before `now` and cannot
+    /// move the answer. The walk starts at that last one.
     fn probe(&self, now: u64, d: u64) -> u64 {
+        let from = self
+            .intervals
+            .range(..=now)
+            .next_back()
+            .map_or(now, |(&s, _)| s);
         let mut t = now;
-        for (&s, &e) in &self.intervals {
+        for (&s, &e) in self.intervals.range(from..) {
+            #[cfg(test)]
+            self.visited.set(self.visited.get() + 1);
             if s >= t.saturating_add(d) {
                 break; // gap [t, t+d) fits entirely before this interval
             }
@@ -60,8 +90,7 @@ impl Timeline {
     }
 
     fn reserve(&mut self, now: u64, d: u64) -> u64 {
-        self.max_now = self.max_now.max(now);
-        self.prune();
+        self.observe(now);
         let start = self.probe(now, d);
         self.commit(start, d);
         start + d
@@ -198,7 +227,7 @@ impl Servers {
         st.served += 1;
         let mut best = (u64::MAX, 0usize);
         for (i, ch) in st.channels.iter_mut().enumerate() {
-            ch.max_now = ch.max_now.max(now.nanos());
+            ch.observe(now.nanos());
             let start = ch.probe(now.nanos(), d);
             if start < best.0 {
                 best = (start, i);
@@ -206,7 +235,6 @@ impl Servers {
         }
         let (start, idx) = best;
         st.channels[idx].commit(start, d);
-        st.channels[idx].prune();
         Time(start + d)
     }
 
@@ -366,6 +394,47 @@ mod tests {
     }
 
     #[test]
+    fn probe_skips_intervals_that_end_before_now() {
+        // 100k back-to-back bookings, all inside the prune horizon, so
+        // every one stays in the timeline.
+        const N: u64 = 100_000;
+        let mut tl = Timeline::default();
+        for i in 0..N {
+            assert_eq!(tl.reserve(i * 10, 10), (i + 1) * 10);
+        }
+        assert_eq!(tl.len(), N as usize);
+        // A present-time reservation, inside the last interval, must not
+        // rescan the whole history.
+        tl.visited.set(0);
+        assert_eq!(tl.reserve(N * 10 - 5, 10), N * 10 + 10);
+        assert!(tl.visited.get() <= 2, "visited {}", tl.visited.get());
+        // Same for a k-channel center: each channel's probe is O(log n).
+        let srv = Servers::new(4);
+        for i in 0..N {
+            srv.reserve(Time(i * 10), Dur::nanos(40));
+        }
+        let mut st = srv.inner.lock();
+        for ch in &mut st.channels {
+            assert_eq!(ch.len(), (N / 4) as usize);
+            ch.visited.set(0);
+        }
+        drop(st);
+        assert_eq!(srv.reserve(Time(N * 10), Dur::nanos(40)), Time(N * 10 + 40));
+        for ch in &srv.inner.lock().channels {
+            assert!(ch.visited.get() <= 2, "visited {}", ch.visited.get());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "behind the prune horizon")]
+    fn request_behind_prune_horizon_is_caught() {
+        let mut tl = Timeline::default();
+        tl.reserve(PRUNE_HORIZON_NS * 2, 10);
+        tl.reserve(PRUNE_HORIZON_NS - 1, 10);
+    }
+
+    #[test]
     fn servers_parallel_channels() {
         Runtime::simulate(0, |rt| {
             let srv = Servers::new(2);
@@ -376,6 +445,9 @@ mod tests {
             assert_eq!(srv.reserve(t0, c), Time(10_000));
             assert_eq!(srv.reserve(t0, c), Time(20_000));
             assert_eq!(srv.served(), 3);
+            // Ties go to the lowest channel index.
+            let lens: Vec<usize> = srv.inner.lock().channels.iter().map(|c| c.len()).collect();
+            assert_eq!(lens, [2, 1]);
         });
     }
 

@@ -164,6 +164,26 @@ impl Runtime {
         }
     }
 
+    /// Scheduling decisions taken so far: every time a participant
+    /// blocks, sleeps, yields or finishes (sim mode only). Deterministic
+    /// for a given seed, so it can be gated exactly.
+    pub fn dispatches(&self) -> u64 {
+        match &self.0 {
+            RtImpl::Sim(c) => c.sched_counts().0,
+            RtImpl::Real(_) => 0,
+        }
+    }
+
+    /// Dispatches that handed control to *another* participant — each one
+    /// a cross-thread handoff, the simulator's main host cost (sim mode
+    /// only).
+    pub fn switches(&self) -> u64 {
+        match &self.0 {
+            RtImpl::Sim(c) => c.sched_counts().1,
+            RtImpl::Real(_) => 0,
+        }
+    }
+
     /// The experiment seed this runtime was created with.
     pub fn seed(&self) -> u64 {
         match &self.0 {

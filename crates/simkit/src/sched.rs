@@ -136,6 +136,10 @@ struct Sched {
     stopping: bool,
     /// Failure message when the simulation was poisoned by a panic/deadlock.
     poisoned: Option<String>,
+    /// Scheduling decisions taken ([`SimCore::dispatch`] calls).
+    dispatches: u64,
+    /// Dispatches that handed control to another participant.
+    switches: u64,
 }
 
 /// One deterministic simulation instance.
@@ -158,6 +162,8 @@ impl SimCore {
                 parts: Vec::new(),
                 stopping: false,
                 poisoned: None,
+                dispatches: 0,
+                switches: 0,
             }),
             seed,
         })
@@ -192,6 +198,12 @@ impl SimCore {
 
     pub(crate) fn total_idle(&self) -> Dur {
         Dur(self.state.lock().parts.iter().map(|p| p.idle_ns).sum())
+    }
+
+    /// (dispatches, switches) since the simulation started.
+    pub(crate) fn sched_counts(&self) -> (u64, u64) {
+        let g = self.state.lock();
+        (g.dispatches, g.switches)
     }
 
     /// Register the calling thread as root participant (pid 0).
@@ -278,6 +290,7 @@ impl SimCore {
     /// Sleeping). If `park` is true, the caller parks until rescheduled.
     fn dispatch(&self, g: MutexGuard<'_, Sched>, my: Pid, park: bool) {
         let mut g = g;
+        g.dispatches += 1;
         let next = if let Some(p) = g.ready.pop_front() {
             Some(p)
         } else if let Some(&Reverse((t, _, p))) = g.sleepers.peek() {
@@ -294,6 +307,7 @@ impl SimCore {
                 g.parts[my].status = Status::Running;
             }
             Some(p) => {
+                g.switches += 1;
                 g.parts[p].status = Status::Running;
                 let parker = g.parts[p].parker.clone();
                 drop(g);

@@ -176,3 +176,30 @@ fn semaphore_fifo_under_contention() {
     });
     assert_eq!(order, vec![0, 1, 2, 3, 4], "FIFO admission");
 }
+
+#[test]
+fn channel_round_trip_is_two_switches() {
+    // Root sends, then blocks in `recv` (switch to the echo participant);
+    // the echo replies, then blocks in its own `recv` (switch back).
+    Runtime::simulate(9, |rt| {
+        let (req_tx, req_rx) = rt.channel::<u32>(None);
+        let (rep_tx, rep_rx) = rt.channel::<u32>(None);
+        let echo = rt.spawn("echo", move |_| {
+            while let Ok(v) = req_rx.recv() {
+                rep_tx.send(v + 1).unwrap();
+            }
+        });
+        // Warm-up trip: the echo participant starts and parks in `recv`.
+        req_tx.send(0).unwrap();
+        assert_eq!(rep_rx.recv().unwrap(), 1);
+        let (d0, s0) = (rt.dispatches(), rt.switches());
+        for i in 0..100 {
+            req_tx.send(i).unwrap();
+            assert_eq!(rep_rx.recv().unwrap(), i + 1);
+        }
+        assert_eq!(rt.switches() - s0, 200);
+        assert_eq!(rt.dispatches() - d0, 200);
+        drop(req_tx);
+        echo.join();
+    });
+}

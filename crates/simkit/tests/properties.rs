@@ -8,33 +8,86 @@ use simkit::time::Time;
 
 const CASES: u64 = 64;
 
+/// The earliest-fit oracle: a naive full scan of every booked interval
+/// (sorted by start) for the first `t >= now` where `[t, t + d)` fits.
+fn naive_earliest_fit(booked: &[(u64, u64)], now: u64, d: u64) -> u64 {
+    let mut t = now;
+    for &(s, e) in booked {
+        if s >= t.saturating_add(d) {
+            break;
+        }
+        if e > t {
+            t = e;
+        }
+    }
+    t
+}
+
+/// Book `[start, start + d)` into a sorted oracle list (zero-length
+/// requests occupy nothing).
+fn book(booked: &mut Vec<(u64, u64)>, start: u64, d: u64) {
+    if d > 0 {
+        let at = booked.partition_point(|&(s, _)| s < start);
+        booked.insert(at, (start, start + d));
+    }
+}
+
+/// Draw a request time: uniform over the window, or exactly at the start
+/// or end of an existing booking, or strictly inside one.
+fn draw_now(g: &mut SplitMix64, booked: &[(u64, u64)], window: u64) -> u64 {
+    if booked.is_empty() {
+        return g.below(window);
+    }
+    let (s, e) = booked[g.below(booked.len() as u64) as usize];
+    match g.below(4) {
+        0 => s,
+        1 => e,
+        2 if e - s > 1 => s + 1 + g.below(e - s - 1),
+        _ => g.below(window),
+    }
+}
+
+/// Draw a duration, zero one time in eight.
+fn draw_len(g: &mut SplitMix64, max: u64) -> u64 {
+    if g.below(8) == 0 {
+        0
+    } else {
+        g.range(1, max)
+    }
+}
+
 #[test]
 fn link_reservations_never_overlap() {
     // Whatever order reservations arrive in (possibly out of time order),
-    // the wire must never carry two payloads at once and no reservation may
-    // start before its requested time.
+    // the wire must never carry two payloads at once, no reservation may
+    // start before its requested time, and each one starts exactly where a
+    // naive scan of everything booked so far says the earliest fit is.
     for case in 0..CASES {
         let mut g = SplitMix64::derive(0x11AC, case);
         let n = g.range(1, 80) as usize;
-        let reqs: Vec<(u64, u64)> = (0..n)
-            .map(|_| (g.below(1_000_000), g.range(1, 100_000)))
-            .collect();
         Runtime::simulate(0, |rt| {
             let _ = rt;
             let bw = 1e9; // 1 byte per ns
             let link = Link::new(bw, Dur::ZERO);
-            let mut intervals: Vec<(u64, u64)> = Vec::new();
-            for &(now, bytes) in &reqs {
+            let mut booked: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..n {
+                let now = draw_now(&mut g, &booked, 1_000_000);
+                let bytes = draw_len(&mut g, 100_000);
+                let d = Dur::for_bytes(bytes, bw).as_nanos();
                 let end = link.reserve(Time(now), bytes).nanos();
-                let start = end - bytes; // 1 byte/ns
+                let start = end - d;
                 assert!(start >= now, "started {start} before requested {now}");
-                for &(s, e) in &intervals {
-                    assert!(
-                        end <= s || e <= start,
-                        "overlap: [{start},{end}) vs [{s},{e})"
-                    );
+                let want = naive_earliest_fit(&booked, now, d);
+                assert_eq!(start, want, "{d} ns at {now}: not the earliest fit");
+                if d > 0 {
+                    for &(s, e) in &booked {
+                        assert!(
+                            end <= s || e <= start,
+                            "overlap: [{start},{end}) vs [{s},{e})"
+                        );
+                    }
                 }
-                intervals.push((start, end));
+                book(&mut booked, start, d);
             }
         });
     }
@@ -42,23 +95,36 @@ fn link_reservations_never_overlap() {
 
 #[test]
 fn servers_capacity_respected() {
-    // At any instant, at most k requests may be in service.
+    // At any instant at most k requests are in service, and each request
+    // takes the channel a naive scan picks: the earliest fit over all
+    // channels, lowest channel index on ties.
     for case in 0..CASES {
         let mut g = SplitMix64::derive(0x5EB5, case);
         let k = g.range(1, 5) as usize;
         let n = g.range(1, 60) as usize;
-        let reqs: Vec<(u64, u64)> = (0..n)
-            .map(|_| (g.below(500_000), g.range(1, 50_000)))
-            .collect();
         Runtime::simulate(0, |rt| {
             let _ = rt;
             let srv = Servers::new(k);
+            let mut channels: Vec<Vec<(u64, u64)>> = vec![Vec::new(); k];
             let mut intervals: Vec<(u64, u64)> = Vec::new();
-            for (now, cost) in &reqs {
-                let end = srv.reserve(Time(*now), Dur::nanos(*cost)).nanos();
+            for _ in 0..n {
+                let pick = &channels[g.below(k as u64) as usize];
+                let now = draw_now(&mut g, pick, 500_000);
+                let cost = draw_len(&mut g, 50_000);
+                let end = srv.reserve(Time(now), Dur::nanos(cost)).nanos();
                 let start = end - cost;
-                assert!(start >= *now);
-                intervals.push((start, end));
+                assert!(start >= now);
+                let (want, ch) = channels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (naive_earliest_fit(b, now, cost), i))
+                    .min()
+                    .unwrap();
+                assert_eq!(start, want, "{cost} ns at {now}: not the earliest fit");
+                book(&mut channels[ch], start, cost);
+                if cost > 0 {
+                    intervals.push((start, end));
+                }
             }
             // Sweep: count overlaps at every interval start.
             for &(s, _) in &intervals {
