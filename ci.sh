@@ -18,7 +18,10 @@
 #  5. perf-trajectory gate: the pinned-seed perf_gate suite emits
 #     BENCH_<rev>.json and fails on >10% regression against the
 #     committed baseline (crates/bench/baseline/BENCH_baseline.json);
-#  6. rustfmt (check mode) and clippy, warnings denied, across every
+#  6. figure outputs: every deterministic figure binary of run_all.sh
+#     must reproduce its committed capture under results/ byte for byte
+#     (check_results.sh);
+#  7. rustfmt (check mode) and clippy, warnings denied, across every
 #     target.
 #
 # Everything runs offline: the workspace has no external dependencies.
@@ -65,6 +68,8 @@ mkdir -p target/bench
 cargo run -q --release --offline -p dlfs-bench --bin perf_gate -- \
   "rev=${REV}" out=target/bench \
   baseline=crates/bench/baseline/BENCH_baseline.json
+echo "== figure outputs byte-identical to results/"
+./check_results.sh
 echo "== clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== ci OK"

@@ -39,12 +39,6 @@ impl Measured {
             self.bytes as f64 / s
         }
     }
-
-    pub fn merge_parallel(&mut self, other: Measured) {
-        self.samples += other.samples;
-        self.bytes += other.bytes;
-        self.elapsed_ns = self.elapsed_ns.max(other.elapsed_ns);
-    }
 }
 
 /// Read `n` samples in `batch`-sized requests on the calling task,

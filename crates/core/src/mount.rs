@@ -147,16 +147,6 @@ impl DlfsInstance {
         DlfsIo::new(self.shared[r].with_tenant(tenant))
     }
 
-    /// [`DlfsInstance::io_tenant`] with telemetry recorded into `reg`.
-    pub fn io_tenant_with_registry(
-        &self,
-        r: usize,
-        tenant: crate::tenant::TenantId,
-        reg: &simkit::telemetry::Registry,
-    ) -> DlfsIo {
-        DlfsIo::with_registry(self.shared[r].with_tenant(tenant), reg)
-    }
-
     /// The instance's shared QoS admission gate, when the configuration
     /// asked for one ([`DlfsConfig::qos`]).
     pub fn qos(&self) -> Option<&Arc<crate::tenant::TenantQos>> {

@@ -297,11 +297,6 @@ impl BatchedWriter {
         }
         Ok(())
     }
-
-    /// Device write commands issued so far (first submissions + retries).
-    pub fn commands_submitted(&self) -> u64 {
-        self.qp.counters().0
-    }
 }
 
 /// Synchronous timed read of `[offset, offset+len)` through a fresh qpair

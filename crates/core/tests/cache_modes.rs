@@ -396,3 +396,41 @@ fn sync_reads_hit_the_cross_epoch_cache() {
         assert!(reg.snapshot().counter("dlfs.cache.hits") >= 2);
     });
 }
+
+/// A sample straddling its chunk's end, read zero-copy after a neighbour
+/// parked the (shorter) chunk range under the chunk's key: a fetch of the
+/// longer range could never be published under that key, so the miss
+/// faults in just the sample's own blocks under the sample's key, and
+/// later reads hit them.
+#[test]
+fn straddling_zero_copy_read_after_a_shorter_chunk_range() {
+    Runtime::simulate(17, |rt| {
+        // 3000-byte samples: sample 87 spans bytes 261000..264000 and
+        // crosses the first 256 KB chunk boundary.
+        let source = SyntheticSource::fixed(5, 200, 3000);
+        let cfg = DlfsConfig {
+            cache_mode: CacheMode::CrossEpoch,
+            ..DlfsConfig::default()
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(NvmeDevice::new(DeviceConfig::optane(64 << 20)))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let s = io.read_zero_copy(rt, 0).unwrap();
+        assert_eq!(s.to_vec(), source.expected(0));
+        drop(s);
+        for pass in 0..2 {
+            let s = io.read_zero_copy(rt, 87).unwrap();
+            assert_eq!(s.to_vec(), source.expected(87), "pass {pass}");
+        }
+        assert_eq!(io.read_by_id(rt, 87).unwrap(), source.expected(87));
+        let m = io.metrics();
+        assert_eq!(
+            m.counter("dlfs.io.cache.misses"),
+            2,
+            "0 and 87 fault in once"
+        );
+        assert_eq!(m.counter("dlfs.io.cache.hits"), 2);
+    });
+}

@@ -409,6 +409,44 @@ fn hedged_reads_win_against_slow_target() {
     });
 }
 
+/// Synchronous reads hedge like any demand part: with a slow home copy,
+/// a cold `read_by_id` fires a duplicate at the next replica after the
+/// hedge delay, and the first verified completion delivers the bytes.
+#[test]
+fn hedged_sync_reads_win_against_slow_target() {
+    Runtime::simulate(test_seed(79), |rt| {
+        let source = SyntheticSource::fixed(8, 600, 2048);
+        let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(500)));
+        let devices = vec![slow, ramdisk(64 << 20)];
+        let cfg = DlfsConfig {
+            hedge_reads: true,
+            ..redundant_cfg(2)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(local_deployment(&devices))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        // Samples homed on the slow node 0.
+        let slow_ids: Vec<u32> = (0..40u32)
+            .filter(|&id| fs.dir.entry(id).nid() == 0)
+            .collect();
+        assert!(!slow_ids.is_empty());
+        for id in slow_ids {
+            let t0 = rt.now();
+            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+            assert!(
+                rt.now() - t0 < Dur::micros(500),
+                "sample {id} waited out the slow home"
+            );
+        }
+        let m = io.metrics();
+        assert!(m.counter("dlfs.integrity.hedges") > 0, "no hedges fired");
+        assert!(m.counter("dlfs.integrity.hedge_wins") > 0);
+        assert_eq!(m.counter("dlfs.integrity.mismatches"), 0);
+    });
+}
+
 /// One corruption scenario end to end, twice, same seed: delivered bytes,
 /// virtual end time and the full telemetry render (integrity counters
 /// included) must be bit-identical.

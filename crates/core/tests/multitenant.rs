@@ -314,3 +314,48 @@ fn interleaved_admission_throttle_evict_holds_isolation() {
         });
     }
 }
+
+/// Two tenant handles on one reader share one chunk pool. When handle
+/// A's open items hold every chunk, handle B's first batch cannot open a
+/// single item: it waits out the pressure under the retry policy, then
+/// fails with a typed `CacheExhausted` (not a panic), and succeeds once A
+/// has drained its epoch and released the pool.
+#[test]
+fn sibling_holding_the_pool_is_a_typed_error_not_a_panic() {
+    Runtime::simulate(12, |rt| {
+        let cfg = DlfsConfig {
+            pool_chunks: 4,
+            window_chunks: 4,
+            ..DlfsConfig::default()
+        };
+        cfg.validate().expect("a valid configuration");
+        let source = SyntheticSource::fixed(11, 2000, 4096);
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(NvmeDevice::new(DeviceConfig::optane(256 << 20)))
+            .mount(rt, &source)
+            .unwrap();
+        let mut a = fs.io_tenant(0, 1);
+        let mut b = fs.io_tenant(0, 2);
+        a.sequence(rt, 7, 0);
+        let total = b.sequence(rt, 8, 0);
+        assert_eq!(a.submit(rt, &ReadRequest::batch(1)).unwrap().len(), 1);
+        assert_eq!(fs.shared(0).cache.free_chunks(), 0, "A holds the pool");
+        let t0 = rt.now();
+        match b.submit(rt, &ReadRequest::batch(8)) {
+            Err(dlfs::DlfsError::CacheExhausted) => {}
+            other => panic!("expected CacheExhausted, got {other:?}"),
+        }
+        assert!(rt.now() > t0, "B backs off before giving up");
+        // A drains its epoch and releases every chunk; B then reads its
+        // whole epoch, byte-correct.
+        while a.submit(rt, &ReadRequest::batch(64)).is_ok() {}
+        let mut delivered = 0;
+        while let Ok(batch) = b.submit(rt, &ReadRequest::batch(64)) {
+            for (id, data) in batch.into_copied() {
+                assert_eq!(data, source.expected(id), "sample {id}");
+                delivered += 1;
+            }
+        }
+        assert_eq!(delivered, total);
+    });
+}

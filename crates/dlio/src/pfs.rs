@@ -73,11 +73,6 @@ impl Pfs {
         Some(obj)
     }
 
-    /// Untimed read (verification).
-    pub fn get_untimed(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        self.objects.lock().get(name).cloned()
-    }
-
     pub fn len(&self) -> usize {
         self.objects.lock().len()
     }

@@ -53,10 +53,6 @@ impl Summary {
         }
     }
 
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -231,13 +227,6 @@ impl Meter {
         } else {
             self.bytes as f64 / s
         }
-    }
-
-    pub fn merge_window(&mut self, other: &Meter) {
-        self.events += other.events;
-        self.bytes += other.bytes;
-        self.start = self.start.min(other.start);
-        self.end = self.end.max(other.end);
     }
 }
 

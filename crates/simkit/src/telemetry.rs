@@ -325,32 +325,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Like [`Snapshot::render`], but only metrics whose name starts with
-    /// `prefix`.
-    pub fn render_prefixed(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.entries {
-            if !name.starts_with(prefix) {
-                continue;
-            }
-            match v {
-                Value::Counter(c) => writeln!(out, "{name} {c}").unwrap(),
-                Value::Gauge(g) => writeln!(out, "{name} {g}").unwrap(),
-                Value::Histo(h) => writeln!(
-                    out,
-                    "{name} count={} mean={} p50={} p95={} p99={}",
-                    h.count,
-                    h.mean(),
-                    h.p50,
-                    h.p95,
-                    h.p99
-                )
-                .unwrap(),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
