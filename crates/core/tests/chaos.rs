@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use blocksim::{covering_blocks, DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
     Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, MountOptions,
@@ -347,6 +347,65 @@ fn sync_read_requeues_engine_failures() {
         }
         assert_eq!(delivered, total);
         assert!(io.metrics().counter("dlfs.io.retries") > 0);
+    });
+}
+
+#[test]
+fn failed_sync_read_leaves_no_part_behind() {
+    // Regression: when one part of a multi-part synchronous read spends
+    // its retry budget while another part is still in flight, that
+    // straggler's failure must not be parked for a retry that outlives the
+    // read — it would later be posted against the next read's buffers (or
+    // against no read at all).
+    Runtime::simulate(test_seed(27), |rt| {
+        let cfg = DlfsConfig {
+            chunk_size: 8 * 1024,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..Default::default()
+            },
+            ..DlfsConfig::default()
+        };
+        // Every sample spans two chunk-sized parts.
+        let source = SyntheticSource::fixed(10, 16, 16 * 1024);
+        let dev = local_device();
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(dev.clone())
+            .mount(rt, &source)
+            .unwrap();
+        // Sample 0 sits on a persistent bad extent, and the injector seed
+        // is picked so that only the second command (part 1's first read)
+        // takes a 1 ms latency spike: part 0 fails all three attempts while
+        // part 1 is still in flight, then part 1 fails with retries left.
+        let spiky = |seed| FaultInjector::new(seed).with_latency_spikes(500_000, Dur::millis(1));
+        let seed = (0u64..)
+            .find(|&s| {
+                let f = spiky(s);
+                [false, true, false, false]
+                    .iter()
+                    .all(|&slow| (f.decide(false).extra_latency > Dur::ZERO) == slow)
+            })
+            .unwrap();
+        let entry = fs.dir.entry(0);
+        let (slba, nblocks, _) = covering_blocks(entry.offset(), entry.len());
+        dev.set_faults(spiky(seed).with_bad_extent(slba, nblocks as u64));
+        let mut io = fs.io(0);
+        assert!(matches!(
+            io.read_by_id(rt, 0),
+            Err(DlfsError::Io {
+                attempts: 3,
+                cause: IoFailure::Media,
+                ..
+            })
+        ));
+        // Healed: the same handle's next synchronous reads and a batched
+        // epoch see nothing of the failed read.
+        dev.set_faults(FaultInjector::new(seed));
+        for id in [1, 0, 2] {
+            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+        }
+        let total = io.sequence(rt, 33, 0);
+        drain_epoch_verified(rt, &mut io, &source, total);
     });
 }
 

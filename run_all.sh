@@ -1,19 +1,33 @@
 #!/bin/bash
+# Regenerate every figure capture from the release binaries.
+#
+# Usage: ./run_all.sh [out_dir]     (default: results/)
+# SKIP="bin ..." leaves the named binaries out (check_results.sh skips
+# the wall-clock ablation_directory this way).
 set -x
+OUT="${1:-results}"
 B=./target/release
-$B/fig01_size_dist > results/fig01.txt 2>&1
-$B/fig06_single_node > results/fig06.txt 2>&1
-$B/fig07_cpu > results/fig07.txt 2>&1
-$B/fig08_sizes > results/fig08.txt 2>&1
-$B/fig09_scalability > results/fig09.txt 2>&1
-$B/fig10_lookup > results/fig10.txt 2>&1
-$B/fig11_disagg > results/fig11.txt 2>&1
-$B/fig12_tf > results/fig12.txt 2>&1
-$B/fig13_accuracy > results/fig13.txt 2>&1
-$B/ablation_batching > results/ablation_batching.txt 2>&1
-$B/ablation_directory > results/ablation_directory.txt 2>&1
-$B/ext_tfrecord_shuffle > results/ext_tfrecord.txt 2>&1
-$B/ext_octopus_cache > results/ext_octopus_cache.txt 2>&1
-$B/ext_latency > results/ext_latency.txt 2>&1
-$B/ext_mount_time > results/ext_mount_time.txt 2>&1
+# binary:capture file
+FIGS=(
+  fig01_size_dist:fig01.txt
+  fig06_single_node:fig06.txt
+  fig07_cpu:fig07.txt
+  fig08_sizes:fig08.txt
+  fig09_scalability:fig09.txt
+  fig10_lookup:fig10.txt
+  fig11_disagg:fig11.txt
+  fig12_tf:fig12.txt
+  fig13_accuracy:fig13.txt
+  ablation_batching:ablation_batching.txt
+  ablation_directory:ablation_directory.txt
+  ext_tfrecord_shuffle:ext_tfrecord.txt
+  ext_octopus_cache:ext_octopus_cache.txt
+  ext_latency:ext_latency.txt
+  ext_mount_time:ext_mount_time.txt
+)
+for entry in "${FIGS[@]}"; do
+  bin="${entry%%:*}"
+  case " ${SKIP:-} " in *" $bin "*) continue ;; esac
+  $B/$bin > "$OUT/${entry#*:}" 2>&1
+done
 echo ALL_DONE
