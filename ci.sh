@@ -18,10 +18,14 @@
 #  5. perf-trajectory gate: the pinned-seed perf_gate suite emits
 #     BENCH_<rev>.json and fails on >10% regression against the
 #     committed baseline (crates/bench/baseline/BENCH_baseline.json);
-#  6. figure outputs: every deterministic figure binary of run_all.sh
+#  6. benchmark smoke: perfbench (its own package, built into
+#     .bench_build) runs every workload of BENCHMARK.json at tiny size and
+#     checks its metric catalogue, so a library change cannot silently
+#     break the benchmark's build or metric names (perfbench/smoke.py);
+#  7. figure outputs: every deterministic figure binary of run_all.sh
 #     must reproduce its committed capture under results/ byte for byte
 #     (check_results.sh);
-#  7. rustfmt (check mode) and clippy, warnings denied, across every
+#  8. rustfmt (check mode) and clippy, warnings denied, across every
 #     target.
 #
 # Everything runs offline: the workspace has no external dependencies.
@@ -68,6 +72,8 @@ mkdir -p target/bench
 cargo run -q --release --offline -p dlfs-bench --bin perf_gate -- \
   "rev=${REV}" out=target/bench \
   baseline=crates/bench/baseline/BENCH_baseline.json
+echo "== benchmark smoke (every workload, tiny size)"
+python3 perfbench/smoke.py
 echo "== figure outputs byte-identical to results/"
 ./check_results.sh
 echo "== clippy (deny warnings)"

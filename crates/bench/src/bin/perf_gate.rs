@@ -33,16 +33,19 @@
 //!   1:2:4-weighted tenant mix from its weight shares under WFQ slot
 //!   contention (lower is better); the gate asserts inline that it stays
 //!   within the 5% fairness budget;
-//! - `sched_switches_per_sample` — scheduler switches (cross-thread
+//! - `sched_switches_per_sample` — scheduler switches (OS-thread
 //!   handoffs between simulated participants, `Runtime::switches`) per
 //!   sample of the unverified batched epoch (lower is better: handoffs
-//!   are the simulator's main host cost).
+//!   are the simulator's main host cost). The copy lanes are services
+//!   run inline, so this epoch takes none and the baseline is zero: any
+//!   handoff that creeps back in fails the gate.
 //!
 //! Usage:
 //!   perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
 //!
 //! With `baseline=`, exits non-zero when any metric regresses beyond the
-//! tolerance fraction in its bad direction. Because every metric is
+//! tolerance fraction in its bad direction (from a zero baseline, any
+//! move in the bad direction regresses). Because every metric is
 //! deterministic, a clean run reproduces the baseline bit-for-bit; the
 //! tolerance only absorbs *intentional* small shifts, not noise.
 
@@ -336,6 +339,21 @@ fn json_num(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Relative change from `was` to `now`. From a zero baseline any change is
+/// infinitely large, so a metric ratcheted down to zero still regresses on
+/// its first step back up.
+fn drift(was: f64, now: f64) -> f64 {
+    if was == 0.0 {
+        if now == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY.copysign(now)
+        }
+    } else {
+        (now - was) / was
+    }
+}
+
 fn main() {
     let seed: u64 = arg("seed", DEFAULT_SEED);
     let rev: String = arg("rev", "worktree".to_string());
@@ -447,7 +465,7 @@ fn main() {
             eprintln!("baseline missing {key}; skipping");
             continue;
         };
-        let drift = if was == 0.0 { 0.0 } else { (now - was) / was };
+        let drift = drift(was, now);
         let bad = if higher_better { -drift } else { drift };
         let verdict = if bad > tolerance { "REGRESSED" } else { "ok" };
         eprintln!(
@@ -463,4 +481,27 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("perf gate OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::drift;
+
+    #[test]
+    fn drift_is_relative_to_a_nonzero_baseline() {
+        assert!((drift(2.0, 2.2) - 0.1).abs() < 1e-12);
+        assert_eq!(drift(2.0, 1.0), -0.5);
+        assert_eq!(drift(2.0, 2.0), 0.0);
+    }
+
+    #[test]
+    fn any_increase_over_a_zero_baseline_regresses() {
+        let tolerance = 0.10;
+        assert_eq!(drift(0.0, 0.0), 0.0);
+        // Lower-is-better metric (switches per sample) creeping up from 0.
+        assert!(drift(0.0, 1e-6) > tolerance);
+        // Higher-is-better metric falling to or below a zero baseline.
+        assert!(-drift(0.0, -1e-6) > tolerance);
+        assert!(-drift(0.0, 1e-6) <= tolerance);
+    }
 }

@@ -2,9 +2,11 @@
 //!
 //! "We use the pool of copy threads to process all completed requests in
 //! the SCQ ... a shared queue helps balance the workload distribution to
-//! all copying threads." Jobs carry segments of DMA chunks; a copy thread
+//! all copying threads." Jobs carry segments of DMA chunks; a copy lane
 //! charges the memcpy time and hands the assembled sample back through the
-//! job's completion channel.
+//! job's completion channel. Each lane is a simkit service, which the
+//! scheduler runs inline on the dispatching thread: like the paper's copy
+//! threads draining the SCQ, a copy costs no context switch.
 
 use blocksim::DmaBuf;
 use simkit::chan::Sender;
@@ -136,31 +138,33 @@ pub struct CopyPool {
 }
 
 impl CopyPool {
-    /// Spawn `threads` copy threads. They exit when the pool handle (and
+    /// Spawn `threads` copy lanes, each a simkit service draining the
+    /// shared queue: a lane assembles the sample, charges the memcpy time
+    /// and then hands the sample back. Lanes exit when the pool handle (and
     /// every cloned sender) is dropped.
     pub fn spawn(rt: &Runtime, name: &str, threads: usize, costs: &DlfsCosts) -> CopyPool {
         assert!(threads > 0);
         let (tx, rx) = rt.channel::<CopyJob>(None);
         for t in 0..threads {
-            let rx = rx.clone();
             let costs = costs.clone();
-            rt.spawn(&format!("{name}-copy{t}"), move |rt| {
-                while let Ok(job) = rx.recv() {
-                    let total: usize = job.segments.iter().map(|s| s.len).sum();
-                    let mut data = vec![0u8; total];
-                    let mut at = 0;
-                    for seg in &job.segments {
-                        seg.buf.copy_to(seg.offset, &mut data[at..at + seg.len]);
-                        at += seg.len;
-                    }
-                    rt.work(costs.memcpy(total as u64));
+            let lane = format!("{name}-copy{t}");
+            rt.spawn_service(&lane, rx.clone(), move |_, job: CopyJob| {
+                let mut data = vec![0u8; job.segments.total_bytes()];
+                let mut at = 0;
+                for seg in &job.segments {
+                    seg.buf.copy_to(seg.offset, &mut data[at..at + seg.len]);
+                    at += seg.len;
+                }
+                let busy = costs.memcpy(data.len() as u64);
+                let deliver = move || {
                     // Receiver may be gone during teardown; that's fine.
                     let _ = job.done.send(CopyDone {
                         tag: job.tag,
                         sample: job.sample,
                         data,
                     });
-                }
+                };
+                (busy, deliver)
             });
         }
         CopyPool { jobs: tx, threads }
@@ -169,7 +173,7 @@ impl CopyPool {
     /// Enqueue a job onto the shared completion queue.
     pub fn submit(&self, job: CopyJob) {
         if self.jobs.send(job).is_err() {
-            panic!("copy pool threads terminated early");
+            panic!("copy pool lanes terminated early");
         }
     }
 
@@ -181,6 +185,7 @@ impl CopyPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::time::Dur;
 
     #[test]
     fn copies_assemble_segments_in_order() {
@@ -246,6 +251,49 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert!(four * 3 < one, "four={four} one={one}");
+    }
+
+    /// Submit `jobs` copies of `len` bytes from root and wait for them all;
+    /// returns (virtual time taken, switches taken, busy time charged).
+    fn copy_round(lanes: usize, jobs: u64, len: usize) -> (Dur, u64, Dur) {
+        Runtime::simulate(0, |rt| {
+            let pool = CopyPool::spawn(rt, "t", lanes, &DlfsCosts::default());
+            let buf = DmaBuf::standalone(len);
+            let (tx, rx) = rt.channel(None);
+            let (t0, s0, b0) = (rt.now(), rt.switches(), rt.total_busy());
+            for i in 0..jobs {
+                pool.submit(CopyJob {
+                    tag: i,
+                    sample: i as u32,
+                    segments: SegList::from_iter([Segment {
+                        buf: buf.clone(),
+                        offset: 0,
+                        len,
+                    }]),
+                    done: tx.clone(),
+                });
+            }
+            for _ in 0..jobs {
+                assert_eq!(rx.recv().unwrap().data.len(), len);
+            }
+            (rt.now() - t0, rt.switches() - s0, rt.total_busy() - b0)
+        })
+        .0
+    }
+
+    #[test]
+    fn eight_jobs_on_four_lanes_take_two_memcpy_rounds() {
+        let one = DlfsCosts::default().memcpy(1 << 16);
+        let (took, _, busy) = copy_round(4, 8, 1 << 16);
+        assert_eq!(took, Dur(2 * one.as_nanos()));
+        assert_eq!(busy, Dur(8 * one.as_nanos()));
+    }
+
+    #[test]
+    fn copy_round_trip_from_root_takes_no_switch() {
+        // The lanes run inline on root's thread: no OS-thread handoff.
+        assert_eq!(copy_round(4, 1, 4096).1, 0);
+        assert_eq!(copy_round(4, 32, 4096).1, 0);
     }
 
     #[test]

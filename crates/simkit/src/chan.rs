@@ -29,6 +29,13 @@ pub enum TryRecvError {
     Disconnected,
 }
 
+/// Outcome of [`Receiver::poll_recv`].
+pub(crate) enum Polled<T> {
+    Value(T),
+    Waiting,
+    Closed,
+}
+
 struct SimState<T> {
     queue: VecDeque<T>,
     cap: Option<usize>,
@@ -183,6 +190,27 @@ impl<T: Send> Receiver<T> {
             },
             ReceiverImpl::Real(r) => r.recv().map_err(|_| RecvError),
         }
+    }
+
+    /// A service step's receive: the next queued value, or — when the
+    /// channel is empty but connected — the calling participant registered
+    /// as a receive waiter, exactly as [`Receiver::recv`] registers before
+    /// it blocks. Simulation only.
+    pub(crate) fn poll_recv(&self) -> Polled<T> {
+        let ReceiverImpl::Sim(ch) = &self.0 else {
+            unreachable!("services are driven by the simulation scheduler only");
+        };
+        let mut st = ch.st.lock();
+        if let Some(v) = st.queue.pop_front() {
+            ch.wake_one_send(&mut st);
+            return Polled::Value(v);
+        }
+        if st.senders == 0 {
+            return Polled::Closed;
+        }
+        let me = ch.core.current_pid();
+        st.recv_waiters.push_back(me);
+        Polled::Waiting
     }
 
     /// Non-blocking receive.

@@ -10,7 +10,8 @@
 //!
 //! ## Pieces
 //!
-//! - [`runtime::Runtime`] — spawn tasks, sleep/work, channels, time.
+//! - [`runtime::Runtime`] — spawn tasks and thread-free services,
+//!   sleep/work, channels, time.
 //! - [`chan`] — MPMC channels integrated with the scheduler.
 //! - [`resource`] — links (bandwidth + latency) and k-channel service
 //!   centers used to model NICs and NVMe internals.

@@ -13,9 +13,9 @@ use std::time::Instant;
 
 use crate::plock::Mutex;
 
-use crate::chan::{real_channel, sim_channel, Receiver, Sender};
+use crate::chan::{real_channel, sim_channel, Polled, Receiver, Sender};
 use crate::rng::SplitMix64;
-use crate::sched::{Pid, SimCore};
+use crate::sched::{Pid, SimCore, Step};
 use crate::time::{Dur, Time};
 
 #[derive(Clone)]
@@ -244,6 +244,75 @@ impl Runtime {
                     slot,
                 }
             }
+        }
+    }
+
+    /// Spawn a *service*: the loop
+    ///
+    /// ```text
+    /// while let Ok(job) = rx.recv() {
+    ///     let (busy, deliver) = handler(rt, job);
+    ///     rt.work(busy);
+    ///     deliver();
+    /// }
+    /// ```
+    ///
+    /// In simulation mode a service has no OS thread: the scheduler runs
+    /// each step inline on whichever thread is dispatching, and books every
+    /// status change, sleeper and busy charge exactly as the loop above run
+    /// by [`Runtime::spawn`] would, so every virtual-time result is the
+    /// same, without the two OS-thread handoffs per job. The handler must
+    /// not block — no `sleep`, `work`, `yield_now`, `recv`, `join` or send
+    /// on a full channel; that poisons the simulation. It returns its busy
+    /// time, and `deliver` (typically a send of the result) runs once that
+    /// time has passed. The service finishes when every sender of `rx` is
+    /// gone. In real mode it is the loop above on a plain OS thread.
+    pub fn spawn_service<T, D>(
+        &self,
+        name: &str,
+        rx: Receiver<T>,
+        mut handler: impl FnMut(&Runtime, T) -> (Dur, D) + Send + 'static,
+    ) -> JoinHandle<()>
+    where
+        T: Send + 'static,
+        D: FnOnce() + Send + 'static,
+    {
+        let RtImpl::Sim(core) = &self.0 else {
+            return self.spawn(name, move |rt| {
+                while let Ok(job) = rx.recv() {
+                    let (busy, deliver) = handler(rt, job);
+                    rt.work(busy);
+                    deliver();
+                }
+            });
+        };
+        let slot: Arc<Mutex<Option<()>>> = Arc::new(Mutex::new(None));
+        let s2 = slot.clone();
+        let rt = self.clone();
+        let mut pending: Option<D> = None;
+        let pid = core.spawn_service(
+            name,
+            Box::new(move || {
+                if let Some(deliver) = pending.take() {
+                    deliver();
+                }
+                match rx.poll_recv() {
+                    Polled::Value(job) => {
+                        let (busy, deliver) = handler(&rt, job);
+                        pending = Some(deliver);
+                        Step::Busy(busy)
+                    }
+                    Polled::Waiting => Step::Blocked,
+                    Polled::Closed => {
+                        *s2.lock() = Some(());
+                        Step::Finished
+                    }
+                }
+            }),
+        );
+        JoinHandle {
+            inner: JoinImpl::Sim(core.clone(), pid),
+            slot,
         }
     }
 

@@ -1,25 +1,35 @@
 //! The deterministic virtual-time scheduler.
 //!
-//! Simulated "threads" (participants) are real OS threads, but the scheduler
-//! enforces that **exactly one participant executes at any moment**. When the
-//! running participant blocks — on a virtual-time sleep, a channel, or a join
-//! — it hands control to the next runnable participant; if none is runnable,
-//! the virtual clock jumps forward to the earliest sleeper. Because execution
-//! is fully serialized and all tie-breaks are FIFO by a monotonically
-//! increasing sequence number, a simulation is a deterministic function of
-//! its inputs: identical runs produce identical event orders and identical
-//! virtual timestamps, regardless of the host machine.
+//! The scheduler enforces that **exactly one participant executes at any
+//! moment**. A participant is one of two kinds:
+//!
+//! - a *thread*: a real OS thread, parked while it is not running, written
+//!   in natural blocking style (poll loops, queue pairs, RPC servers);
+//! - a *service* ([`crate::runtime::Runtime::spawn_service`]): a
+//!   receive-handle-charge loop with no OS thread of its own. Whichever
+//!   thread is dispatching runs the service's next step inline, so handing
+//!   control to a service and back costs no OS context switch.
+//!
+//! When the running participant blocks — on a virtual-time sleep, a
+//! channel, or a join — it hands control to the next runnable participant;
+//! if none is runnable, the virtual clock jumps forward to the earliest
+//! sleeper. Because execution is fully serialized and all tie-breaks are
+//! FIFO by a monotonically increasing sequence number, a simulation is a
+//! deterministic function of its inputs: identical runs produce identical
+//! event orders and identical virtual timestamps, regardless of the host
+//! machine. A service books every status change, sleeper and busy charge
+//! in the same order as the thread loop it stands for, so the choice of
+//! kind changes host cost only, never a virtual-time number.
 //!
 //! This gives us the best of both worlds for reproducing a systems paper on
 //! hardware we don't have: components are written in natural blocking style
-//! (poll loops, queue pairs, copy-thread pools) and still produce exact,
-//! machine-independent measurements.
+//! and still produce exact, machine-independent measurements.
 //!
 //! # Failure semantics
 //!
 //! Any panic inside a participant, and any detected deadlock, *poisons* the
 //! simulation: every parked participant is woken with a shutdown signal and
-//! the root call to [`crate::runtime::Runtime::sim`]'s closure panics with
+//! the root call to [`crate::runtime::Runtime::simulate`]'s closure panics with
 //! the original message. A buggy simulation therefore fails fast and loud
 //! instead of hanging the test suite.
 
@@ -112,9 +122,34 @@ enum Status {
     Finished,
 }
 
+/// How one step of a service ended.
+pub(crate) enum Step {
+    /// It took a job, whose handler charged this much busy time. The job's
+    /// delivery runs at the start of the next step, once the time is spent.
+    Busy(Dur),
+    /// Its channel is empty: it registered as a receive waiter.
+    Blocked,
+    /// Its channel is disconnected: the service is done.
+    Finished,
+}
+
+/// A service's loop body, one step per call (see [`SimCore::run_service`]).
+pub(crate) type ServiceStep = Box<dyn FnMut() -> Step + Send>;
+
+enum Body {
+    /// An OS thread, parked while not running. Root's handle is `None`.
+    Thread {
+        parker: Arc<Parker>,
+        handle: Option<std::thread::JoinHandle<()>>,
+    },
+    /// Run inline by the dispatching thread. `None` while a step runs and
+    /// once the service has finished or the simulation has torn down.
+    Service(Option<ServiceStep>),
+}
+
 struct Part {
     name: String,
-    parker: Arc<Parker>,
+    body: Body,
     status: Status,
     /// Virtual nanoseconds this participant spent in `work()` (busy CPU).
     busy_ns: u64,
@@ -123,7 +158,30 @@ struct Part {
     idle_ns: u64,
     /// Participants blocked in `join()` on this one.
     join_waiters: Vec<Pid>,
-    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Part {
+    fn new(name: &str, body: Body, status: Status) -> Part {
+        Part {
+            name: name.to_string(),
+            body,
+            status,
+            busy_ns: 0,
+            idle_ns: 0,
+            join_waiters: Vec::new(),
+        }
+    }
+
+    fn is_service(&self) -> bool {
+        matches!(self.body, Body::Service(_))
+    }
+
+    fn parker(&self) -> Option<&Arc<Parker>> {
+        match &self.body {
+            Body::Thread { parker, .. } => Some(parker),
+            Body::Service(_) => None,
+        }
+    }
 }
 
 struct Sched {
@@ -136,10 +194,23 @@ struct Sched {
     stopping: bool,
     /// Failure message when the simulation was poisoned by a panic/deadlock.
     poisoned: Option<String>,
-    /// Scheduling decisions taken ([`SimCore::dispatch`] calls).
+    /// Scheduling decisions taken: one per block, sleep, yield or finish,
+    /// by a thread or by a service step.
     dispatches: u64,
-    /// Dispatches that handed control to another participant.
+    /// Dispatches that handed control to another OS thread.
     switches: u64,
+}
+
+impl Sched {
+    /// Wake everyone blocked in `join()` on `pid`, which just finished.
+    fn wake_joiners(&mut self, pid: Pid) {
+        for w in std::mem::take(&mut self.parts[pid].join_waiters) {
+            if self.parts[w].status == Status::Blocked {
+                self.parts[w].status = Status::Ready;
+                self.ready.push_back(w);
+            }
+        }
+    }
 }
 
 /// One deterministic simulation instance.
@@ -147,6 +218,15 @@ pub(crate) struct SimCore {
     pub(crate) core_id: u64,
     state: Mutex<Sched>,
     pub(crate) seed: u64,
+}
+
+/// The message of a participant's panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic>".to_string())
 }
 
 impl SimCore {
@@ -210,15 +290,11 @@ impl SimCore {
     pub(crate) fn enter_root(self: &Arc<Self>) {
         let mut g = self.state.lock();
         assert!(g.parts.is_empty(), "root already registered");
-        g.parts.push(Part {
-            name: "root".to_string(),
+        let body = Body::Thread {
             parker: Parker::new(),
-            status: Status::Running,
-            busy_ns: 0,
-            idle_ns: 0,
-            join_waiters: Vec::new(),
             handle: None,
-        });
+        };
+        g.parts.push(Part::new("root", body, Status::Running));
         drop(g);
         CURRENT.set(Some((self.core_id, 0)));
     }
@@ -231,15 +307,25 @@ impl SimCore {
         let end = Time(g.now);
         // Wake every parked participant; their next interaction with the
         // scheduler raises `Shutdown`, which their wrapper catches.
-        let parkers: Vec<Arc<Parker>> = g
-            .parts
-            .iter()
-            .filter(|p| p.status != Status::Finished)
-            .map(|p| p.parker.clone())
-            .collect();
-        let handles: Vec<std::thread::JoinHandle<()>> =
-            g.parts.iter_mut().filter_map(|p| p.handle.take()).collect();
+        let mut parkers = Vec::new();
+        let mut handles = Vec::new();
+        let mut steps = Vec::new();
+        for p in g.parts.iter_mut() {
+            match &mut p.body {
+                Body::Thread { parker, handle } => {
+                    if p.status != Status::Finished {
+                        parkers.push(parker.clone());
+                    }
+                    handles.extend(handle.take());
+                }
+                Body::Service(step) => steps.extend(step.take()),
+            }
+        }
         drop(g);
+        // A service's channel ends and pending delivery drop here, with no
+        // lock held: dropping a channel end locks the channel and may wake
+        // a waiter through the scheduler.
+        drop(steps);
         for p in parkers {
             p.unpark();
         }
@@ -261,7 +347,7 @@ impl SimCore {
             .parts
             .iter()
             .filter(|p| p.status != Status::Finished && p.status != Status::Running)
-            .map(|p| p.parker.clone())
+            .filter_map(|p| p.parker().cloned())
             .collect();
         drop(g);
         for p in parkers {
@@ -285,63 +371,188 @@ impl SimCore {
         }
     }
 
+    /// [`SimCore::raise_if_stopping`], and refuse the blocking call a
+    /// service handler made: a service runs on its dispatcher's OS thread,
+    /// so it has no thread of its own to park.
+    fn check_may_block(&self, g: &MutexGuard<'_, Sched>, my: Pid) {
+        self.raise_if_stopping(g, my);
+        if g.parts[my].is_service() {
+            panic!(
+                "service '{}' made a blocking call (sleep, work, yield, recv, a send on a \
+                 full channel or join); service handlers must not block: they return their \
+                 busy time instead",
+                g.parts[my].name
+            );
+        }
+    }
+
     /// Hand control to the next runnable participant. The caller must have
     /// already recorded its own new status (and queued itself if Ready or
     /// Sleeping). If `park` is true, the caller parks until rescheduled.
+    ///
+    /// A service picked as next runs one step inline, on this thread, and
+    /// the loop then takes the decision that step ends with, as the
+    /// service's own thread would have. Only a handoff to another thread
+    /// counts as a switch.
     fn dispatch(&self, g: MutexGuard<'_, Sched>, my: Pid, park: bool) {
         let mut g = g;
-        g.dispatches += 1;
-        let next = if let Some(p) = g.ready.pop_front() {
-            Some(p)
-        } else if let Some(&Reverse((t, _, p))) = g.sleepers.peek() {
-            g.sleepers.pop();
-            debug_assert!(t >= g.now, "time went backwards");
-            g.now = t;
-            Some(p)
-        } else {
-            None
-        };
-        match next {
-            Some(p) if p == my => {
-                // We were the earliest sleeper / only ready entry: keep going.
-                g.parts[my].status = Status::Running;
-            }
-            Some(p) => {
-                g.switches += 1;
-                g.parts[p].status = Status::Running;
-                let parker = g.parts[p].parker.clone();
-                drop(g);
-                parker.unpark();
-                if park {
-                    self.park_current(my);
+        // Whose decision this is: `my`, then each service step run inline.
+        let mut who = my;
+        loop {
+            g.dispatches += 1;
+            let next = if let Some(p) = g.ready.pop_front() {
+                Some(p)
+            } else if let Some(&Reverse((t, _, p))) = g.sleepers.peek() {
+                g.sleepers.pop();
+                debug_assert!(t >= g.now, "time went backwards");
+                g.now = t;
+                Some(p)
+            } else {
+                None
+            };
+            match next {
+                Some(p) if p == my => {
+                    // We were the earliest sleeper / only ready entry: keep going.
+                    g.parts[my].status = Status::Running;
+                    return;
                 }
-            }
-            None => {
-                if park {
-                    // Nothing can ever run again: hard deadlock. Poison so
-                    // the whole simulation aborts instead of hanging.
-                    let blocked: Vec<String> = g
-                        .parts
-                        .iter()
-                        .filter(|p| p.status == Status::Blocked || p.status == Status::Sleeping)
-                        .map(|p| p.name.clone())
-                        .collect();
-                    let me = g.parts[my].name.clone();
+                Some(p) if g.parts[p].is_service() => {
+                    g.parts[p].status = Status::Running;
+                    g = self.run_service(g, p, my);
+                    who = p;
+                }
+                Some(p) => {
+                    g.switches += 1;
+                    g.parts[p].status = Status::Running;
+                    let parker = g.parts[p].parker().expect("thread participant").clone();
                     drop(g);
-                    let msg = format!(
-                        "simkit deadlock: '{me}' blocked with no runnable participant \
-                         (blocked/sleeping: {blocked:?})"
-                    );
-                    self.poison(msg.clone());
-                    panic!("{msg}");
+                    parker.unpark();
+                    if park {
+                        self.park_current(my);
+                    }
+                    return;
                 }
-                // We're finishing and nothing is runnable; fine.
+                None => {
+                    // Whoever waits to be rescheduled: the decision's owner
+                    // unless it just finished, else a parking caller.
+                    let stuck = if g.parts[who].status != Status::Finished {
+                        Some(who)
+                    } else if park {
+                        Some(my)
+                    } else {
+                        None
+                    };
+                    if let Some(stuck) = stuck {
+                        // Nothing can ever run again: hard deadlock. Poison so
+                        // the whole simulation aborts instead of hanging.
+                        let blocked: Vec<String> = g
+                            .parts
+                            .iter()
+                            .filter(|p| p.status == Status::Blocked || p.status == Status::Sleeping)
+                            .map(|p| p.name.clone())
+                            .collect();
+                        let me = g.parts[stuck].name.clone();
+                        drop(g);
+                        let msg = format!(
+                            "simkit deadlock: '{me}' blocked with no runnable participant \
+                             (blocked/sleeping: {blocked:?})"
+                        );
+                        self.poison(msg.clone());
+                        panic!("{msg}");
+                    }
+                    // We're finishing and nothing is runnable; fine.
+                    return;
+                }
             }
         }
     }
 
+    /// Run the next step of service `p` inline on the calling thread, the
+    /// `host` participant, and book how it ended exactly as the service's
+    /// thread loop `while let Ok(j) = rx.recv() { work(busy); deliver() }`
+    /// would have: a busy charge is a `work` (a yield when zero), an empty
+    /// channel a `recv` block, a disconnect a finish. Returns with the lock
+    /// held so the dispatcher can take the next decision.
+    fn run_service<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Sched>,
+        p: Pid,
+        host: Pid,
+    ) -> MutexGuard<'a, Sched> {
+        let Body::Service(slot) = &mut g.parts[p].body else {
+            unreachable!("run_service on a thread participant");
+        };
+        let mut step = slot.take().expect("service step re-entered");
+        drop(g);
+        let prev = CURRENT.replace(Some((self.core_id, p)));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+            match step() {
+                // A zero charge yields; with nobody else to run, the thread
+                // loop would carry straight on without a dispatch.
+                Step::Busy(d) if d.is_zero() && self.nothing_queued() => continue,
+                end => break end,
+            }
+        }));
+        CURRENT.set(prev);
+        let end = match out {
+            Ok(end) => end,
+            Err(payload) => {
+                // Unwind the service as its thread would: drop its state,
+                // then poison, then take this thread down with it.
+                drop(step);
+                if payload.downcast_ref::<Shutdown>().is_none() {
+                    let name = self.state.lock().parts[p].name.clone();
+                    let msg = panic_message(payload.as_ref());
+                    self.poison(format!("participant '{name}' panicked: {msg}"));
+                }
+                let g = self.state.lock();
+                self.raise_if_stopping(&g, host);
+                unreachable!("a failed service step leaves the simulation stopping");
+            }
+        };
+        if let Step::Finished = end {
+            // Closes the service's receiver before the finish, outside the
+            // lock, as a returning thread drops its closure.
+            drop(step);
+            let mut g = self.state.lock();
+            self.raise_if_stopping(&g, host);
+            g.parts[p].status = Status::Finished;
+            g.wake_joiners(p);
+            return g;
+        }
+        let mut g = self.state.lock();
+        self.raise_if_stopping(&g, host);
+        match end {
+            Step::Busy(d) if d.is_zero() => {
+                g.parts[p].status = Status::Ready;
+                g.ready.push_back(p);
+            }
+            Step::Busy(d) => {
+                g.parts[p].busy_ns += d.as_nanos();
+                let wake = g.now + d.as_nanos();
+                let seq = g.seq;
+                g.seq += 1;
+                g.parts[p].status = Status::Sleeping;
+                g.sleepers.push(Reverse((wake, seq, p)));
+            }
+            Step::Blocked => g.parts[p].status = Status::Blocked,
+            Step::Finished => unreachable!(),
+        }
+        g.parts[p].body = Body::Service(Some(step));
+        g
+    }
+
+    /// Whether no participant is ready or sleeping.
+    fn nothing_queued(&self) -> bool {
+        let g = self.state.lock();
+        g.ready.is_empty() && g.sleepers.is_empty()
+    }
+
     fn park_current(&self, my: Pid) {
-        let parker = { self.state.lock().parts[my].parker.clone() };
+        let parker = {
+            let g = self.state.lock();
+            g.parts[my].parker().expect("thread participant").clone()
+        };
         parker.park();
         let g = self.state.lock();
         self.raise_if_stopping(&g, my);
@@ -363,7 +574,7 @@ impl SimCore {
     fn advance(&self, d: Dur) {
         let my = self.my_pid();
         let mut g = self.state.lock();
-        self.raise_if_stopping(&g, my);
+        self.check_may_block(&g, my);
         if d.is_zero() {
             // Zero-length sleep is a yield: go to the back of the ready queue.
             if g.ready.is_empty() && g.sleepers.is_empty() {
@@ -397,7 +608,7 @@ impl SimCore {
     pub(crate) fn block(&self) {
         let my = self.my_pid();
         let mut g = self.state.lock();
-        self.raise_if_stopping(&g, my);
+        self.check_may_block(&g, my);
         g.parts[my].status = Status::Blocked;
         self.dispatch(g, my, true);
     }
@@ -417,28 +628,18 @@ impl SimCore {
         self.my_pid()
     }
 
-    /// Spawn a new participant running `f`.
+    /// Spawn a new thread participant running `f`.
     pub(crate) fn spawn_participant(
         self: &Arc<Self>,
         name: &str,
         f: Box<dyn FnOnce() + Send>,
     ) -> Pid {
-        let mut g = self.state.lock();
-        let my = CURRENT.get().map(|(_, p)| p).unwrap_or(0);
-        self.raise_if_stopping(&g, my);
-        let pid = g.parts.len();
         let parker = Parker::new();
-        g.parts.push(Part {
-            name: name.to_string(),
+        let body = Body::Thread {
             parker: parker.clone(),
-            status: Status::Ready,
-            busy_ns: 0,
-            idle_ns: 0,
-            join_waiters: Vec::new(),
             handle: None,
-        });
-        g.ready.push_back(pid);
-        drop(g);
+        };
+        let pid = self.add_participant(name, body);
 
         let core = Arc::clone(self);
         let tname = name.to_string();
@@ -463,11 +664,7 @@ impl SimCore {
                             // Simulation is tearing down; exit quietly.
                             return;
                         }
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "<non-string panic>".to_string());
+                        let msg = panic_message(payload.as_ref());
                         let name = {
                             let g = core.state.lock();
                             g.parts[pid].name.clone()
@@ -477,7 +674,25 @@ impl SimCore {
                 }
             })
             .expect("failed to spawn participant thread");
-        self.state.lock().parts[pid].handle = Some(handle);
+        if let Body::Thread { handle: h, .. } = &mut self.state.lock().parts[pid].body {
+            *h = Some(handle);
+        }
+        pid
+    }
+
+    /// Spawn a new service participant whose loop body is `step`.
+    pub(crate) fn spawn_service(&self, name: &str, step: ServiceStep) -> Pid {
+        self.add_participant(name, Body::Service(Some(step)))
+    }
+
+    /// Register a new participant and queue it ready to run.
+    fn add_participant(&self, name: &str, body: Body) -> Pid {
+        let mut g = self.state.lock();
+        let my = CURRENT.get().map(|(_, p)| p).unwrap_or(0);
+        self.raise_if_stopping(&g, my);
+        let pid = g.parts.len();
+        g.parts.push(Part::new(name, body, Status::Ready));
+        g.ready.push_back(pid);
         pid
     }
 
@@ -487,13 +702,7 @@ impl SimCore {
             return;
         }
         g.parts[pid].status = Status::Finished;
-        let waiters = std::mem::take(&mut g.parts[pid].join_waiters);
-        for w in waiters {
-            if g.parts[w].status == Status::Blocked {
-                g.parts[w].status = Status::Ready;
-                g.ready.push_back(w);
-            }
-        }
+        g.wake_joiners(pid);
         self.dispatch(g, pid, false);
     }
 
@@ -502,7 +711,7 @@ impl SimCore {
         loop {
             let my = self.my_pid();
             let mut g = self.state.lock();
-            self.raise_if_stopping(&g, my);
+            self.check_may_block(&g, my);
             if g.parts[pid].status == Status::Finished {
                 return;
             }
